@@ -1,14 +1,15 @@
-// End-to-end epoch pipeline throughput: barrier vs streaming mode at
-// 1/2/4/N worker threads.
+// End-to-end epoch pipeline throughput at 1/2/4/N worker threads.
 //
 // Runs the full client -> proxy -> aggregator epoch loop (system/system.cc)
 // on the Table 3 configuration — 100k clients, sampling fraction s=0.6,
 // (p, q) = (0.9, 0.6), the 11-bucket speed query, two proxies — and reports
-// clients/sec and shares/sec per (mode, thread count) row, the speedup over
-// the single-threaded barrier run, and the streaming/barrier throughput
-// ratio at equal thread counts. Both modes are bit-deterministic and
-// produce identical results (tests/parallel_epoch_test.cc), so every row
-// processes identical work. Each row also reports heap allocations per
+// clients/sec and shares/sec per row plus the speedup over a serial-shaped
+// baseline. The baseline row runs one worker with the shard batch as large
+// as the fleet, so the one batch crosses answer, forward and drain in turn
+// with no stage overlap; the "streaming" rows use the default 1024-client
+// shard batches. Every shape is bit-deterministic and produces identical
+// results (tests/parallel_epoch_test.cc), so every row processes identical
+// work. Each row also reports heap allocations per
 // share across the timed epochs (this binary links the counting global
 // allocator from common/alloc_counter.h), pinning down the zero-copy
 // share path's allocation bill.
@@ -96,8 +97,7 @@ class ScratchDataDir {
 };
 
 struct Row {
-  system::EpochPipelineMode mode = system::EpochPipelineMode::kBarrier;
-  std::string label;  // mode name, or "tcp" for the socket row
+  std::string label;  // "serial", "streaming", or "tcp" for the socket row
   size_t threads = 0;
   double seconds = 0.0;
   double clients_per_sec = 0.0;
@@ -108,10 +108,6 @@ struct Row {
   double allocs_per_share = 0.0;
   size_t agg_shards = 0;  // resolved aggregator shard count for this row
 };
-
-const char* ModeName(system::EpochPipelineMode mode) {
-  return mode == system::EpochPipelineMode::kBarrier ? "barrier" : "streaming";
-}
 
 core::Query SpeedQuery(uint64_t qid) {
   return core::QueryBuilder()
@@ -124,18 +120,19 @@ core::Query SpeedQuery(uint64_t qid) {
       .Build();
 }
 
-Row RunOne(system::EpochPipelineMode mode, size_t threads,
+// `shard_size` 0 = the pipeline default; the serial row passes the fleet
+// size.
+Row RunOne(const std::string& label, size_t threads, size_t shard_size,
            const BenchConfig& bench) {
   system::SystemConfig config;
   config.num_clients = bench.clients;
   config.num_proxies = 2;
   config.seed = 42;
   config.pipeline.num_worker_threads = threads;
-  config.pipeline.mode = mode;
+  config.pipeline.shard_size = shard_size;
   config.aggregator.num_shards = bench.agg_shards;
   config.metrics.enabled = bench.metrics;
-  const ScratchDataDir data_dir(std::string(ModeName(mode)) + "_" +
-                                std::to_string(threads));
+  const ScratchDataDir data_dir(label + "_" + std::to_string(threads));
   if (bench.durability) {
     config.broker.data_dir = data_dir.str();
     config.broker.log.fsync = storage::ParseFsyncPolicy(bench.fsync);
@@ -160,8 +157,7 @@ Row RunOne(system::EpochPipelineMode mode, size_t threads,
   sys.RunEpoch(1000);
 
   Row row;
-  row.mode = mode;
-  row.label = ModeName(mode);
+  row.label = label;
   row.threads = sys.num_worker_threads();
   row.agg_shards =
       bench.agg_shards != 0 ? bench.agg_shards : sys.num_worker_threads();
@@ -326,7 +322,6 @@ int main(int argc, char** argv) {
   }
 
   std::vector<Row> rows;
-  double barrier_base_seconds = 0.0;
   if (bench.transport == "tcp") {
     std::printf(
         "Epoch pipeline throughput over loopback TCP (Table 3 config:\n"
@@ -347,41 +342,25 @@ int main(int argc, char** argv) {
         "p=0.9 q=0.6, 11 buckets, 2 proxies, %zu concurrent queries;\n"
         "%zu epochs per row).\n"
         "Host hardware_concurrency = %zu; thread counts beyond it time-slice\n"
-        "one core and cannot speed up. 'speedup' is vs barrier@1; 'vs "
-        "barrier'\n"
-        "is streaming throughput over barrier at the same thread count.\n\n",
+        "one core and cannot speed up. 'serial' is one worker with one\n"
+        "fleet-sized shard batch (no stage overlap); 'speedup' is vs serial.\n"
+        "\n",
         bench.clients, bench.queries, bench.epochs, hw);
-    std::printf("%10s %8s %10s %14s %14s %9s %11s %12s\n", "mode", "threads",
+    std::printf("%10s %8s %10s %14s %14s %9s %12s\n", "mode", "threads",
                 "seconds", "clients/sec", "shares/sec", "speedup",
-                "vs barrier", "allocs/share");
-
-    rows.reserve(2 * thread_counts.size());
+                "allocs/share");
+    const auto run_row = [&](const std::string& label, size_t threads,
+                             size_t shard_size) {
+      rows.push_back(RunOne(label, threads, shard_size, bench));
+      const Row& row = rows.back();
+      std::printf("%10s %8zu %10.3f %14.0f %14.0f %8.2fx %12.2f\n",
+                  row.label.c_str(), row.threads, row.seconds,
+                  row.clients_per_sec, row.shares_per_sec,
+                  rows.front().seconds / row.seconds, row.allocs_per_share);
+    };
+    run_row("serial", 1, bench.clients);
     for (size_t threads : thread_counts) {
-      double barrier_seconds = 0.0;
-      for (const auto mode : {system::EpochPipelineMode::kBarrier,
-                              system::EpochPipelineMode::kStreaming}) {
-        rows.push_back(RunOne(mode, threads, bench));
-        const Row& row = rows.back();
-        if (mode == system::EpochPipelineMode::kBarrier) {
-          barrier_seconds = row.seconds;
-          if (barrier_base_seconds == 0.0) {
-            barrier_base_seconds = row.seconds;
-          }
-        }
-        const double speedup = barrier_base_seconds / row.seconds;
-        if (mode == system::EpochPipelineMode::kBarrier) {
-          std::printf("%10s %8zu %10.3f %14.0f %14.0f %8.2fx %11s %12.2f\n",
-                      row.label.c_str(), row.threads, row.seconds,
-                      row.clients_per_sec, row.shares_per_sec, speedup, "-",
-                      row.allocs_per_share);
-        } else {
-          std::printf(
-              "%10s %8zu %10.3f %14.0f %14.0f %8.2fx %10.2fx %12.2f\n",
-              row.label.c_str(), row.threads, row.seconds,
-              row.clients_per_sec, row.shares_per_sec, speedup,
-              barrier_seconds / row.seconds, row.allocs_per_share);
-        }
-      }
+      run_row("streaming", threads, 0);
     }
   }
 
@@ -412,30 +391,19 @@ int main(int argc, char** argv) {
                   row.shares_per_sec, row.allocs_per_share);
     json += buf;
   }
-  const Row* barrier_two = nullptr;
-  const Row* barrier_four = nullptr;
-  const Row* streaming_four = nullptr;
-  for (const Row& row : rows) {
-    if (row.mode == system::EpochPipelineMode::kBarrier && row.threads == 2) {
-      barrier_two = &row;
+  // Speedups of streaming at 2 and 4 workers over the serial row (0 for
+  // the single-row tcp run).
+  const auto speedup_vs_serial = [&rows](size_t threads) {
+    for (const Row& row : rows) {
+      if (row.label == "streaming" && row.threads == threads) {
+        return rows.front().seconds / row.seconds;
+      }
     }
-    if (row.threads != 4) {
-      continue;
-    }
-    (row.mode == system::EpochPipelineMode::kBarrier ? barrier_four
-                                                     : streaming_four) = &row;
-  }
-  std::snprintf(
-      buf, sizeof(buf),
-      "],\"speedup_2_vs_1\":%.3f,\"speedup_4_vs_1\":%.3f,"
-      "\"streaming_vs_barrier_4\":%.3f}",
-      barrier_two != nullptr ? barrier_base_seconds / barrier_two->seconds
-                             : 0.0,
-      barrier_four != nullptr ? barrier_base_seconds / barrier_four->seconds
-                              : 0.0,
-      barrier_four != nullptr && streaming_four != nullptr
-          ? barrier_four->seconds / streaming_four->seconds
-          : 0.0);
+    return 0.0;
+  };
+  std::snprintf(buf, sizeof(buf),
+                "],\"speedup_2_vs_1\":%.3f,\"speedup_4_vs_1\":%.3f}",
+                speedup_vs_serial(2), speedup_vs_serial(4));
   json += buf;
   std::printf("\n%s\n", json.c_str());
 

@@ -1,12 +1,12 @@
 // Historical ("batch") analytics over stored responses (paper §3.3.1).
 //
 // The aggregator tees every joined randomized answer into a fault-tolerant
-// store (HDFS in the prototype; an in-memory time-indexed log here). An
-// analyst can later run a batch query over any past time range. To keep the
-// batch computation within a query budget, a second round of sampling runs
-// at the aggregator over the stored responses — that second sampling round
-// composes with the client-side round and the error estimator accounts for
-// the reduced sample.
+// store (HDFS in the prototype; in memory or a durable PartitionLog here).
+// An analyst can later run a batch query over any past time range. To keep
+// the batch computation within a query budget, a second round of sampling
+// runs at the aggregator over the stored responses — that second sampling
+// round composes with the client-side round and the error estimator
+// accounts for the reduced sample.
 
 #ifndef PRIVAPPROX_AGGREGATOR_HISTORICAL_H_
 #define PRIVAPPROX_AGGREGATOR_HISTORICAL_H_

@@ -141,8 +141,8 @@ FleetEpochStats FleetDriver::RunEpoch(int64_t now_ms) {
     lanes.push_back(&active);
   }
 
-  // Answer sequentially in client-id order: the canonical share order both
-  // in-process pipeline modes reduce to (DESIGN.md §6j). All share records
+  // Answer sequentially in client-id order: the canonical share order the
+  // in-process streaming epoch is pinned to (DESIGN.md §6j). All share records
   // live in the epoch arena until every lane batch has been produced.
   FleetEpochStats stats;
   std::vector<std::vector<std::vector<broker::ProduceView>>> batches(

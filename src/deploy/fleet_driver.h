@@ -15,7 +15,7 @@
 //                 proxy i mod n), and finally register_query on the
 //                 aggregator daemon.
 //   RunEpoch      answer clients sequentially in client-id order (the
-//                 canonical order both in-process pipeline modes reduce
+//                 canonical order the in-process streaming epoch is pinned
 //                 to), produce each (query, proxy) lane's shares in that
 //                 order, forward_lanes on every proxy, drain on the
 //                 aggregator.

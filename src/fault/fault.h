@@ -10,9 +10,10 @@
 // Determinism contract: every decision is a pure hash of
 // (plan seed, query id, MID, proxy index, decision kind) — never of
 // wall-clock time, thread identity, or arrival order — so a given plan
-// injects the *same* faults in the barrier and streaming pipeline modes at
-// any worker count. That is what lets tests assert streaming == barrier
-// results under faults and lets a CI chaos matrix replay a seed exactly.
+// injects the *same* faults at any worker count, channel depth and
+// aggregator shard count. That is what lets tests assert bit-identical
+// results across pipeline shapes under faults and lets a CI chaos matrix
+// replay a seed exactly.
 // Salting with the query id gives every query an independent (but still
 // replayable) fault sequence; proxy crashes are infrastructure-level and
 // stay per (epoch, proxy), hitting every query's lane alike.

@@ -201,8 +201,13 @@ PartitionLog::PartitionLog(std::filesystem::path directory,
 
   for (const auto& entry : std::filesystem::directory_iterator(directory_)) {
     const std::string name = entry.path().filename().string();
-    if (!name.starts_with(kSegmentPrefix) || !name.ends_with(kSegmentSuffix)) {
+    if (!name.ends_with(kSegmentSuffix)) {
       continue;
+    }
+    if (!name.starts_with(kSegmentPrefix)) {
+      throw SegmentLogError("unrecognized log file " +
+                            (directory_ / name).string() +
+                            " (not a seg-<offset>.log segment)");
     }
     const std::string digits = name.substr(
         sizeof(kSegmentPrefix) - 1,

@@ -1,6 +1,6 @@
 // A generic record-oriented partition log — the durable half of a broker
-// topic partition, and the base layer the historical answer log
-// (segment_log.h) shares its framing and recovery rules with.
+// topic partition, and the durable historical answer store
+// (response_store.h).
 //
 // Records append to size-bounded segment files under one directory. Each
 // segment is named by the offset of its first record
@@ -19,6 +19,9 @@
 //   * Segment bases must be contiguous: base[i] + records[i] == base[i+1].
 //     A gap means a segment went missing and replay would silently skip
 //     offsets, so it throws.
+//   * Any other *.log file in the directory throws: it was written in
+//     another format (e.g. an older historical store's answers-NNNNNN.log),
+//     and skipping it would open the log silently empty.
 //
 // Retention: TrimBelow(watermark) deletes whole sealed segments whose
 // records all sit below the consumer low-watermark; the active segment is

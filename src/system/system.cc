@@ -5,48 +5,13 @@
 #include "core/query_wire.h"
 
 #include <algorithm>
-#include <atomic>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <stdexcept>
 #include <thread>
 
 namespace privapprox::system {
-
-SystemConfig SystemConfig::Resolved() const {
-  SystemConfig resolved = *this;
-  // Fold each legacy alias into its nested field unless the nested field
-  // was itself changed from its default (nested wins over legacy).
-  if (enable_historical && !resolved.historical.enabled) {
-    resolved.historical.enabled = true;
-  }
-  if (!historical_dir.empty() && resolved.historical.dir.empty()) {
-    resolved.historical.dir = historical_dir;
-  }
-  if (num_worker_threads != 0 && resolved.pipeline.num_worker_threads == 0) {
-    resolved.pipeline.num_worker_threads = num_worker_threads;
-  }
-  if (pipeline_mode != EpochPipelineMode::kStreaming &&
-      resolved.pipeline.mode == EpochPipelineMode::kStreaming) {
-    resolved.pipeline.mode = pipeline_mode;
-  }
-  if (pipeline_depth != 8 && resolved.pipeline.depth == 8) {
-    resolved.pipeline.depth = pipeline_depth;
-  }
-  if (stream_shard_size != 0 && resolved.pipeline.shard_size == 0) {
-    resolved.pipeline.shard_size = stream_shard_size;
-  }
-  // Mirror back so code reading either name sees the resolved value.
-  resolved.enable_historical = resolved.historical.enabled;
-  resolved.historical_dir = resolved.historical.dir;
-  resolved.num_worker_threads = resolved.pipeline.num_worker_threads;
-  resolved.pipeline_mode = resolved.pipeline.mode;
-  resolved.pipeline_depth = resolved.pipeline.depth;
-  resolved.stream_shard_size = resolved.pipeline.shard_size;
-  return resolved;
-}
 
 namespace {
 
@@ -89,12 +54,12 @@ class StageScope {
 }  // namespace
 
 PrivApproxSystem::PrivApproxSystem(SystemConfig config)
-    : config_(config.Resolved()),
+    : config_(std::move(config)),
       timeline_(config_.metrics.timeline),
       budget_manager_(core::BudgetManagerConfig{
           config_.budget.max_epsilon_zk, config_.budget.downsample_to_fit,
           config_.budget.min_sampling_fraction}),
-      historical_rng_(config.seed ^ 0xA5A5A5A5ULL) {
+      historical_rng_(config_.seed ^ 0xA5A5A5A5ULL) {
   if (config_.num_clients == 0) {
     throw std::invalid_argument("PrivApproxSystem: need >= 1 client");
   }
@@ -304,13 +269,13 @@ PrivApproxSystem::PrivApproxSystem(SystemConfig config)
       });
   if (config_.historical.enabled) {
     if (!config_.historical.dir.empty()) {
-      historical_log_ = std::make_unique<storage::SegmentedAnswerLog>(
-          std::filesystem::path(config_.historical.dir));
+      historical_log_ = std::make_unique<storage::PartitionLog>(
+          config_.historical.dir, storage::PartitionLogOptions{});
     }
     aggregator_->set_answer_tap(
         [this](int64_t timestamp_ms, const BitVector& answer) {
           if (historical_log_ != nullptr) {
-            historical_log_->Append(timestamp_ms, answer);
+            storage::AppendAnswer(*historical_log_, timestamp_ms, answer);
           } else {
             historical_store_.Append(timestamp_ms, answer);
           }
@@ -604,11 +569,7 @@ EpochStats PrivApproxSystem::RunEpoch(int64_t now_ms) {
         }
       }
     }
-    if (config_.pipeline.mode == EpochPipelineMode::kStreaming) {
-      RunEpochStreaming(now_ms);
-    } else {
-      RunEpochBarrier(now_ms);
-    }
+    RunEpochStreaming(now_ms);
   }
   if (injector_ != nullptr) {
     // Hand the epoch's unjoinable (query, MID) pairs to each query's lane
@@ -655,11 +616,11 @@ EpochStats PrivApproxSystem::RunEpoch(int64_t now_ms) {
 
 // Delivers the shares the degraded link held back, at the start of the next
 // epoch: they land at the head of each lane's inbound topic (before this
-// epoch's shards) with their original event time, so both pipeline modes
-// forward them first and the join sees them in the same order. The deferred
-// buffer is sorted by (proxy, QID, MID), so one pass batches per lane; each
-// record is a QID-tagged frame whose tag is stripped back off here — lane
-// topics carry plain <MID, payload> records.
+// epoch's shards) with their original event time, so the proxies forward
+// them first and the join sees them in the same order at any worker count.
+// The deferred buffer is sorted by (proxy, QID, MID), so one pass batches
+// per lane; each record is a QID-tagged frame whose tag is stripped back
+// off here — lane topics carry plain <MID, payload> records.
 void PrivApproxSystem::ReplayDeferredShares() {
   const std::vector<fault::DeferredShare> deferred = injector_->TakeDeferred();
   std::vector<broker::ProduceView> batch;
@@ -678,154 +639,6 @@ void PrivApproxSystem::ReplayDeferredShares() {
     }
     proxies_[proxy]->Receive(qid, batch);
   }
-}
-
-void PrivApproxSystem::RunEpochBarrier(int64_t now_ms) {
-  const size_t num_clients = clients_.size();
-  const size_t num_proxies = proxies_.size();
-  const std::vector<uint64_t> qids = query_ids();
-  const size_t num_queries = qids.size();
-
-  // Phase 1 (parallel answering): shard clients across the pool. Each client
-  // owns its RNG and database, so answering is embarrassingly parallel;
-  // workers encode each client's shares for every subscribed query into an
-  // arena acquired per pool chunk and publish views into the client's
-  // private slots (views[(i * nq + k) * np + j] = client i's share for
-  // query k / proxy j, queries in ascending-QID order). The chunk arenas
-  // are kept alive until phase 2 has copied every view into broker slabs.
-  std::vector<crypto::ShareView> views(num_clients * num_queries *
-                                       num_proxies);
-  std::vector<uint8_t> answered(num_clients * num_queries, 0);
-  std::vector<ArenaRef> chunk_arenas;
-  std::mutex chunk_arenas_mu;
-  {
-    StageScope scope("barrier_answer", stage_ns_.answer_shard_ns, timeline_);
-    pool_->ParallelFor(num_clients, [&](size_t begin, size_t end) {
-      ArenaRef arena = arena_pool_.Acquire();
-      std::vector<uint64_t> answered_qids;
-      for (size_t i = begin; i < end; ++i) {
-        std::span<crypto::ShareView> slot(
-            &views[i * num_queries * num_proxies], num_queries * num_proxies);
-        clients_[i]->AnswerSubscribedInto(now_ms, *arena, slot,
-                                          answered_qids);
-        size_t k = 0;
-        for (const uint64_t qid : answered_qids) {
-          while (qids[k] != qid) {
-            ++k;
-          }
-          answered[i * num_queries + k] = 1;
-        }
-      }
-      std::lock_guard<std::mutex> lock(chunk_arenas_mu);
-      chunk_arenas.push_back(std::move(arena));
-    });
-  }
-
-  // Phase 2 (ordered merge): concatenate the slots in client-id order into
-  // one batch per (query, proxy) lane — exactly the append order a
-  // sequential loop would produce, so topic contents are byte-identical for
-  // any worker count.
-  uint64_t participants = 0;
-  std::vector<uint64_t> per_query(num_queries, 0);
-  for (size_t i = 0; i < num_clients; ++i) {
-    for (size_t k = 0; k < num_queries; ++k) {
-      if (answered[i * num_queries + k] != 0) {
-        ++participants;
-        ++per_query[k];
-      }
-    }
-  }
-  counters_.participants->Increment(participants);
-  counters_.shares_sent->Increment(participants * num_proxies);
-  {
-    size_t k = 0;
-    for (auto& [qid, active] : active_) {
-      if (active.participants_total != nullptr && per_query[k] != 0) {
-        active.participants_total->Increment(per_query[k]);
-        active.shares_sent_total->Increment(per_query[k] * num_proxies);
-      }
-      ++k;
-    }
-  }
-  {
-    StageScope scope("barrier_merge", nullptr, timeline_);
-    std::vector<broker::ProduceView> batch;
-    std::vector<broker::ProduceView> standby_batch;
-    for (size_t k = 0; k < num_queries; ++k) {
-      const uint64_t qid = qids[k];
-      for (size_t j = 0; j < num_proxies; ++j) {
-        batch.clear();
-        standby_batch.clear();
-        batch.reserve(per_query[k]);
-        for (size_t i = 0; i < num_clients; ++i) {
-          if (answered[i * num_queries + k] == 0) {
-            continue;
-          }
-          const crypto::ShareView& view =
-              views[(i * num_queries + k) * num_proxies + j];
-          if (injector_ == nullptr) {
-            batch.push_back(
-                broker::ProduceView{view.message_id, view.bytes(), now_ms});
-            continue;
-          }
-          // Fault path: route each share through the injector. Same code as
-          // the streaming answer stage — decisions are (QID, MID, proxy)
-          // hashes, so both modes inject identical faults.
-          const std::span<const uint8_t> record = view.bytes();
-          const fault::ShareOutcome outcome = injector_->RouteShare(
-              qid, view.message_id, j, epoch_index_, record.size());
-          if (outcome.route == fault::ShareRoute::kLost) {
-            continue;
-          }
-          if (outcome.route == fault::ShareRoute::kDeferred) {
-            injector_->Defer(qid, j, view.message_id, record, now_ms);
-            continue;
-          }
-          const std::span<const uint8_t> payload =
-              outcome.corrupt_to != SIZE_MAX ? record.first(outcome.corrupt_to)
-                                             : record;
-          auto& dest = outcome.route == fault::ShareRoute::kStandby
-                           ? standby_batch
-                           : batch;
-          dest.push_back(broker::ProduceView{view.message_id, payload, now_ms});
-          if (outcome.duplicate) {
-            dest.push_back(
-                broker::ProduceView{view.message_id, payload, now_ms});
-          }
-        }
-        proxies_[j]->Receive(qid, batch);
-        if (!standby_proxies_.empty()) {
-          standby_proxies_[j]->Receive(qid, standby_batch);
-        }
-      }
-    }
-    chunk_arenas.clear();  // appends done: recycle the encode arenas
-  }
-
-  // Phase 3 (parallel forwarding): each proxy moves its own lanes' inbound
-  // topics to their outbound topics — disjoint state, one task per proxy.
-  {
-    StageScope scope("barrier_forward", stage_ns_.proxy_forward_ns, timeline_);
-    std::vector<uint64_t> forwarded(num_proxies, 0);
-    pool_->ParallelFor(num_proxies, [&](size_t begin, size_t end) {
-      for (size_t j = begin; j < end; ++j) {
-        forwarded[j] = proxies_[j]->ForwardLanes();
-        // Standby j shares primary j's outbound lane topics — forwarding it
-        // from the same task keeps the append interleave deterministic.
-        if (!standby_proxies_.empty()) {
-          forwarded[j] += standby_proxies_[j]->ForwardLanes();
-        }
-      }
-    });
-    for (uint64_t count : forwarded) {
-      counters_.shares_forwarded->Increment(count);
-    }
-  }
-
-  // Phase 4: drain every lane (parallel per-source decode + sequential join
-  // inside, lanes in ascending-QID order).
-  StageScope scope("barrier_drain", stage_ns_.agg_consume_ns, timeline_);
-  counters_.shares_consumed->Increment(aggregator_->Drain());
 }
 
 namespace {
@@ -873,7 +686,7 @@ struct ShardNotice {
 
 }  // namespace
 
-// The streaming epoch: the same work as the barrier path, reshaped into
+// The epoch: client answering, proxy forwarding and aggregator join as
 // producer→transform→consumer stages over bounded channels.
 //
 //   [main] --ShardTask--> [answer xW] --TaggedBatch--> [proxy j x1] (n of
@@ -884,9 +697,9 @@ struct ShardNotice {
 // shards are still being answered; the aggregator decodes and joins
 // forwarded batches as notices arrive. Determinism: per-proxy reorder
 // buffers replay batches in shard order (so lane topic logs stay in
-// client-id order, identical to the barrier merge), and each aggregator
-// lane's reorder buffer feeds its MID join in (shard, source) order (see
-// Aggregator::ConsumeShardBatch).
+// client-id order, as a sequential client loop would append them), and each
+// aggregator lane's reorder buffer feeds its MID join in (shard, source)
+// order (see Aggregator::ConsumeShardBatch).
 void PrivApproxSystem::RunEpochStreaming(int64_t now_ms) {
   const size_t num_clients = clients_.size();
   const size_t num_proxies = proxies_.size();
@@ -920,7 +733,7 @@ void PrivApproxSystem::RunEpochStreaming(int64_t now_ms) {
   }
 
   // Consumer stage: single worker — each lane's join and window state are
-  // sequential by design, exactly as in the barrier drain.
+  // sequential by design.
   Stage<ShardNotice> aggregator_stage(
       notices, 1, [&](ShardNotice&& notice) {
         StageScope scope("agg_consume", stage_ns_.agg_consume_ns, timeline_);
@@ -932,7 +745,7 @@ void PrivApproxSystem::RunEpochStreaming(int64_t now_ms) {
   // Per-proxy forward stages: one worker each (a proxy owns its lane
   // consumer offsets). Answer workers finish shards out of order, so each
   // stage reorders to shard order before appending — keeping every lane's
-  // inbound topic in client-id order, byte-identical to the barrier merge.
+  // inbound topic in client-id order at any worker count.
   // The reorder map is small: tasks are handed out in shard order, so at
   // most ~(answer workers + channel depth) shards are in flight.
   std::vector<std::unique_ptr<Stage<TaggedBatch>>> proxy_stages;
@@ -1018,11 +831,10 @@ void PrivApproxSystem::RunEpochStreaming(int64_t now_ms) {
                 view.message_id, view.bytes(), now_ms});
             continue;
           }
-          // Fault path — mirror of the barrier merge: (QID, MID,
-          // proxy)-hashed decisions, so faults are identical across modes
-          // and worker counts. Defer copies the record into a QID-tagged
-          // frame (the arena recycles at shard end); corrupted views stay
-          // arena-backed, truncation is just a shorter span.
+          // Fault path: (QID, MID, proxy)-hashed decisions, so faults are
+          // identical at any worker count. Defer copies the record into a
+          // QID-tagged frame (the arena recycles at shard end); corrupted
+          // views stay arena-backed, truncation is just a shorter span.
           const std::span<const uint8_t> record = view.bytes();
           const fault::ShareOutcome outcome = injector_->RouteShare(
               qid, view.message_id, j, epoch_index_, record.size());
@@ -1144,17 +956,13 @@ core::QueryResult PrivApproxSystem::RunHistorical(
   // The historical store tees joined answers without a QID partition, so
   // batch analytics only has well-defined semantics for a single query.
   const ActiveQuery& active = SingleActive("RunHistorical");
-  if (historical_log_ != nullptr) {
-    // Durable path: read back from the segmented log on disk.
-    const aggregator::ResponseStore store =
-        historical_log_->LoadRange(from_ms, to_ms);
-    const aggregator::HistoricalAnalytics analytics(
-        store, active.params, clients_.size(), config_.confidence);
-    return analytics.Run(from_ms, to_ms, budget, historical_rng_,
-                         active.query.answer_format.num_buckets());
-  }
+  const aggregator::ResponseStore loaded =
+      historical_log_ != nullptr
+          ? storage::LoadRange(*historical_log_, from_ms, to_ms)
+          : aggregator::ResponseStore{};
   const aggregator::HistoricalAnalytics analytics(
-      historical_store_, active.params, clients_.size(), config_.confidence);
+      historical_log_ != nullptr ? loaded : historical_store_, active.params,
+      clients_.size(), config_.confidence);
   return analytics.Run(from_ms, to_ms, budget, historical_rng_,
                        active.query.answer_format.num_buckets());
 }

@@ -52,23 +52,22 @@
 #include "metrics/timeline.h"
 #include "proxy/proxy.h"
 #include "storage/partition_log.h"
-#include "storage/segment_log.h"
 #include "transport/inproc_bus.h"
 
 namespace privapprox::system {
 
-// How RunEpoch executes the answer path.
+// How RunEpoch executes the answer path: a stage/channel dataflow
+// (common/channel.h). Client shards, per-proxy forwarding, and aggregator
+// decode run as concurrent stages connected by bounded channels. A shard's
+// share batch flows to the proxies the moment it is produced; proxies
+// forward while later shards are still answering; the aggregator decodes
+// and joins batches as they arrive, with a reorder buffer keeping the join
+// feed order deterministic. Results are bit-identical to a sequential
+// client-by-client run at every worker count
+// (tests/parallel_epoch_test.cc). Streaming is the only mode; the enum and
+// PipelineOptions::mode remain because perfbench/deployments.cc assigns
+// them.
 enum class EpochPipelineMode {
-  // Four globally barriered phases: answer all clients, merge, forward all
-  // proxies, drain. Simple, but no phase overlaps another.
-  kBarrier,
-  // Stage/channel dataflow (common/channel.h): client shards, per-proxy
-  // forwarding, and aggregator decode run as concurrent stages connected by
-  // bounded channels. A shard's share batch flows to the proxies the moment
-  // it is produced; proxies forward while later shards are still answering;
-  // the aggregator decodes and joins batches as they arrive, with a reorder
-  // buffer keeping the join feed order deterministic. Results are
-  // bit-identical to kBarrier (tests/parallel_epoch_test.cc).
   kStreaming,
 };
 
@@ -76,21 +75,18 @@ enum class EpochPipelineMode {
 struct PipelineOptions {
   // Worker threads for the epoch pipeline (client answering, per-proxy
   // forwarding, per-source aggregator decode). 0 = hardware_concurrency.
-  // Results are byte-identical for every value: workers fill per-client
-  // slots and the merge into proxy topics happens in client-id order.
+  // Results are byte-identical for every value: each proxy stage appends
+  // shard batches to its topics in shard (client-id) order.
   size_t num_worker_threads = 0;
-  // Answer-path execution shape (see EpochPipelineMode). Streaming is the
-  // default; kBarrier remains for comparison benchmarks and as the
-  // reference semantics.
+  // Answer-path execution shape (see EpochPipelineMode).
   EpochPipelineMode mode = EpochPipelineMode::kStreaming;
-  // Streaming mode: capacity (in shard batches) of each inter-stage
-  // channel — the backpressure knob. Larger values let fast stages run
-  // further ahead; 1 degenerates to near-lockstep hand-off.
+  // Capacity (in shard batches) of each inter-stage channel — the
+  // backpressure knob. Larger values let fast stages run further ahead; 1
+  // degenerates to near-lockstep hand-off.
   size_t depth = 8;
-  // Streaming mode: clients per shard batch. Fixed (not derived from the
-  // worker count) so the dataflow — and therefore every byte in the broker
-  // and every join feed position — is identical at any thread count.
-  // 0 = default (1024).
+  // Clients per shard batch. Fixed (not derived from the worker count) so
+  // the dataflow — and therefore every byte in the broker and every join
+  // feed position — is identical at any thread count. 0 = default (1024).
   size_t shard_size = 0;
 };
 
@@ -109,8 +105,8 @@ struct HistoricalOptions {
   // Tee joined answers into the historical store.
   bool enabled = false;
   // When non-empty (and the store is enabled), persist the historical store
-  // to a durable segmented log under this directory — the HDFS stand-in —
-  // instead of keeping it only in memory. RunHistorical then reads back
+  // to a storage::PartitionLog under this directory — the HDFS stand-in —
+  // instead of keeping it only in memory. RunHistorical then replays it
   // from disk.
   std::string dir;
 };
@@ -175,27 +171,10 @@ struct SystemConfig {
   // build without the fault layer — results, broker topic contents, and
   // EpochStats (the bit-identity invariant tests/fault_test.cc pins).
   // A set plan derives every fault from (plan.seed, QID, MID, proxy)
-  // hashes, so both pipeline modes see identical faults at any worker
-  // count and every query gets an independent replayable fault sequence.
+  // hashes, so faults are identical at any worker count, channel depth and
+  // aggregator shard count, and every query gets an independent replayable
+  // fault sequence.
   std::optional<fault::FaultPlan> fault;
-
-  // --- Deprecated aliases (pre-observability flat names) ----------------
-  // Kept for one release so existing call sites keep compiling; a value
-  // set here is folded into the nested struct by Resolved() unless the
-  // nested field was itself changed from its default (nested wins). Use
-  // `historical.*`, `pipeline.*` instead.
-  bool enable_historical = false;            // -> historical.enabled
-  std::string historical_dir;                // -> historical.dir
-  size_t num_worker_threads = 0;             // -> pipeline.num_worker_threads
-  EpochPipelineMode pipeline_mode =
-      EpochPipelineMode::kStreaming;         // -> pipeline.mode
-  size_t pipeline_depth = 8;                 // -> pipeline.depth
-  size_t stream_shard_size = 0;              // -> pipeline.shard_size
-
-  // Returns a copy with every legacy alias folded into its nested field.
-  // PrivApproxSystem resolves its config on construction; call this
-  // directly when reading a config that may still use the flat names.
-  SystemConfig Resolved() const;
 };
 
 struct EpochStats {
@@ -265,8 +244,8 @@ class PrivApproxSystem {
   core::PrivacyBudgetManager& budget_manager() { return budget_manager_; }
 
   // Runs one answering epoch at `now_ms`, driving every registered query.
-  // Dispatches on SystemConfig::pipeline.mode; both modes produce
-  // bit-identical results, topic contents, and stats. The returned stats
+  // Results, topic contents, and stats are bit-identical at every worker
+  // count, channel depth and aggregator shard count. The returned stats
   // are the epoch's delta of the registry's core pipeline counters.
   EpochStats RunEpoch(int64_t now_ms);
 
@@ -319,7 +298,6 @@ class PrivApproxSystem {
     metrics::Counter* shares_sent_total = nullptr;
   };
 
-  void RunEpochBarrier(int64_t now_ms);
   void RunEpochStreaming(int64_t now_ms);
   void ReplayDeferredShares();
   void DistributeAnnouncement(const core::Query& query,
@@ -376,8 +354,10 @@ class PrivApproxSystem {
   std::unique_ptr<aggregator::Aggregator> aggregator_;
   std::map<uint64_t, ActiveQuery> active_;  // QID -> query, ascending
   std::vector<aggregator::WindowedResult> results_;
+  // Historical store (§3.3.1): in memory, or — with historical.dir set — a
+  // durable PartitionLog of answer records (storage/response_store.h).
   aggregator::ResponseStore historical_store_;
-  std::unique_ptr<storage::SegmentedAnswerLog> historical_log_;
+  std::unique_ptr<storage::PartitionLog> historical_log_;
   Xoshiro256 historical_rng_;
 };
 

@@ -145,9 +145,11 @@ void DecodeOwnedBatch(std::vector<broker::Record> records,
 TEST(AllocRegressionTest, ViewPathAllocatesAtLeast90PercentLess) {
   const crypto::AnswerMessage message = MakeMessage();
 
-  // Owning path: Split -> EncodeShare -> ProduceRecord batch -> owned Poll
-  // -> DecodeOwnedBatch. This is what every epoch paid before the arena.
-  const auto run_owned = [&](broker::Topic& topic, broker::Consumer& consumer,
+  // Owning path: Split -> EncodeShare -> ProduceRecord batch -> owned
+  // Topic::ReadInto poll -> DecodeOwnedBatch. This is what every epoch paid
+  // before the arena.
+  const auto run_owned = [&](broker::Topic& topic,
+                             std::vector<uint64_t>& offsets,
                              crypto::XorSplitter& splitter) {
     std::vector<broker::ProduceRecord> records;
     for (size_t i = 0; i < kAnswersPerEpoch; ++i) {
@@ -160,7 +162,13 @@ TEST(AllocRegressionTest, ViewPathAllocatesAtLeast90PercentLess) {
     topic.AppendBatch(std::move(records));
     OwnedDecodedBatch decoded;
     for (;;) {
-      std::vector<broker::Record> batch = consumer.Poll(4096);
+      // Up to 4096 copied records per poll, partitions in turn.
+      std::vector<broker::Record> batch;
+      for (size_t p = 0; p < offsets.size() && batch.size() < 4096; ++p) {
+        const size_t before = batch.size();
+        topic.ReadInto(p, offsets[p], 4096 - batch.size(), batch);
+        offsets[p] += batch.size() - before;
+      }
       if (batch.empty()) {
         break;
       }
@@ -170,14 +178,14 @@ TEST(AllocRegressionTest, ViewPathAllocatesAtLeast90PercentLess) {
   };
 
   broker::Topic owned_topic("owned", 4);
-  broker::Consumer owned_consumer(owned_topic);
+  std::vector<uint64_t> owned_offsets(owned_topic.num_partitions(), 0);
   crypto::XorSplitter owned_splitter(kNumShares,
                                      crypto::ChaCha20Rng::FromSeed(17, 5));
-  run_owned(owned_topic, owned_consumer, owned_splitter);  // warm-up
+  run_owned(owned_topic, owned_offsets, owned_splitter);  // warm-up
   const uint64_t owned_before = AllocCounter::Count();
   size_t owned_shares = 0;
   for (size_t e = 0; e < kEpochs; ++e) {
-    owned_shares += run_owned(owned_topic, owned_consumer, owned_splitter);
+    owned_shares += run_owned(owned_topic, owned_offsets, owned_splitter);
   }
   const uint64_t owned_allocs = AllocCounter::Count() - owned_before;
 
@@ -229,12 +237,12 @@ TEST(AllocRegressionTest, ViewPathAllocatesAtLeast90PercentLess) {
       << "owned=" << owned_allocs << " view=" << view_allocs;
 }
 
-// Whole-system sanity: in streaming mode the warm per-epoch allocation
-// bill is flat — arenas, slabs, and stage scratch are reused, so epoch N
-// and epoch N+1 cost the same. What remains per epoch (localdb query
-// execution per client, join groups, stage threads) is bounded work, not
-// growth; a reintroduced per-share copy or a leaked warm structure shows
-// up here as a rising count. Runs at a given aggregator shard count so the
+// Whole-system sanity: the warm per-epoch allocation bill is flat — arenas,
+// slabs, and stage scratch are reused, so epoch N and epoch N+1 cost the
+// same. What remains per epoch (localdb query execution per client, join
+// groups, stage threads) is bounded work, not growth; a reintroduced
+// per-share copy or a leaked warm structure shows up here as a rising
+// count. Runs at a given aggregator shard count so the
 // sharded feed path proves its scratch (per-shard joiners, window
 // accumulators, merge buffers) is reused across epochs too.
 void ExpectStreamingEpochAllocationsFlat(size_t agg_shards,
@@ -244,7 +252,6 @@ void ExpectStreamingEpochAllocationsFlat(size_t agg_shards,
   config.num_proxies = kNumShares;
   config.seed = 7;
   config.pipeline.num_worker_threads = 1;
-  config.pipeline.mode = system::EpochPipelineMode::kStreaming;
   config.aggregator.num_shards = agg_shards;
   system::PrivApproxSystem system(config);
   for (size_t i = 0; i < config.num_clients; ++i) {

@@ -1,7 +1,6 @@
 // Tests for the dataflow engine: sliding-window assignment, the windowed
 // buffer with watermarks and late data, the MID share join (including
-// replay/duplicate defense and partial-group eviction), and the pull
-// pipeline.
+// replay/duplicate defense and partial-group eviction).
 
 #include <gtest/gtest.h>
 
@@ -11,7 +10,6 @@
 
 #include "crypto/xor_cipher.h"
 #include "engine/join.h"
-#include "engine/pipeline.h"
 #include "engine/window.h"
 
 namespace privapprox::engine {
@@ -529,40 +527,6 @@ TEST(MidJoinerTest, ManyInterleavedGroups) {
     joiner.Add(shares[1], 1, 1);
   }
   EXPECT_EQ(emitted, 100u);
-}
-
-// ----------------------------------------------------------------- pipeline
-
-TEST(PullPipelineTest, SequentialDrainSeesEveryRecord) {
-  broker::Broker b;
-  broker::Topic& topic = b.CreateTopic("t", 2);
-  for (uint64_t key = 0; key < 1000; ++key) {
-    topic.Append(key, {1}, 0);
-  }
-  broker::Consumer consumer(topic);
-  size_t seen = 0;
-  const auto stats = PullPipeline::DrainSequential(
-      consumer,
-      [&](std::vector<broker::Record>&& batch) { seen += batch.size(); },
-      128);
-  EXPECT_EQ(seen, 1000u);
-  EXPECT_EQ(stats.records, 1000u);
-  EXPECT_GT(stats.batches, 1u);
-}
-
-TEST(PullPipelineTest, ParallelDrainCountsMatch) {
-  broker::Broker b;
-  broker::Topic& topic = b.CreateTopic("t", 4);
-  for (uint64_t key = 0; key < 5000; ++key) {
-    topic.Append(key, {1}, 0);
-  }
-  broker::Consumer consumer(topic);
-  ThreadPool pool(4);
-  std::atomic<size_t> seen{0};
-  const auto stats = PullPipeline::DrainParallel(
-      consumer, pool, [&](const broker::Record&) { seen++; }, 512);
-  EXPECT_EQ(seen.load(), 5000u);
-  EXPECT_EQ(stats.records, 5000u);
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <span>
 
 #include "aggregator/aggregator.h"
 #include "client/client.h"
@@ -147,54 +149,50 @@ TEST(FailureTest, DuplicatedRecordsInTransitAreDropped) {
 TEST(FailureTest, MalformedRecordsSurfaceInEpochStats) {
   // A corrupted share arrives at proxy 0 out-of-band: too short to decode.
   // The proxy forwards it blindly; the aggregator must drop it, count it,
-  // and keep every well-formed answer — in both epoch pipeline modes.
-  for (const auto mode : {system::EpochPipelineMode::kBarrier,
-                          system::EpochPipelineMode::kStreaming}) {
-    SCOPED_TRACE(mode == system::EpochPipelineMode::kBarrier ? "barrier"
-                                                             : "streaming");
-    system::SystemConfig config;
-    config.num_clients = 20;
-    config.num_proxies = 2;
-    config.seed = 7;
-    config.pipeline.mode = mode;
-    config.pipeline.depth = 2;
-    config.pipeline.shard_size = 7;  // 20 clients -> 3 shards
-    system::PrivApproxSystem sys(config);
-    for (size_t i = 0; i < config.num_clients; ++i) {
-      auto& db = sys.client(i).database();
-      db.CreateTable("vehicle", {"speed"});
-      db.GetTable("vehicle").Insert(500, {localdb::Value(25.0)});
-    }
-    sys.SubmitQuery(MakeQuery(), ExactParams());
-    // Shares travel on per-query lane topics; the garbage lands on query
-    // 1's lane at proxy 0 so the forward path carries it.
-    sys.broker().Produce("proxy0.q1.in", /*key=*/12345,
-                         std::vector<uint8_t>{0xBA, 0xD0, 0x01}, 900);
-    const system::EpochStats stats = sys.RunEpoch(1000);
-    EXPECT_EQ(stats.malformed_dropped, 1u);
-    EXPECT_EQ(stats.participants, config.num_clients);
-    // Consumed = every well-formed share plus the injected garbage record.
-    EXPECT_EQ(stats.shares_consumed,
-              config.num_clients * config.num_proxies + 1);
-    // EpochStats is defined as a per-epoch delta of the registry counters —
-    // after one epoch, delta and cumulative value must agree exactly.
-    metrics::Registry& reg = sys.metrics_registry();
-    EXPECT_EQ(stats.malformed_dropped,
-              reg.GetCounter("privapprox_malformed_dropped_total", "").Value());
-    EXPECT_EQ(stats.shares_consumed,
-              reg.GetCounter("privapprox_shares_consumed_total", "").Value());
-    EXPECT_EQ(stats.participants,
-              reg.GetCounter("privapprox_participants_total", "").Value());
-    // A clean follow-up epoch reports zero drops: the stat is per-epoch.
-    for (size_t i = 0; i < config.num_clients; ++i) {
-      sys.client(i).database().GetTable("vehicle").Insert(
-          1500, {localdb::Value(25.0)});
-    }
-    EXPECT_EQ(sys.RunEpoch(2000).malformed_dropped, 0u);
-    // Cumulative counter keeps the first epoch's drop.
-    EXPECT_EQ(
-        reg.GetCounter("privapprox_malformed_dropped_total", "").Value(), 1u);
+  // and keep every well-formed answer.
+  system::SystemConfig config;
+  config.num_clients = 20;
+  config.num_proxies = 2;
+  config.seed = 7;
+  config.pipeline.depth = 2;
+  config.pipeline.shard_size = 7;  // 20 clients -> 3 shards
+  system::PrivApproxSystem sys(config);
+  for (size_t i = 0; i < config.num_clients; ++i) {
+    auto& db = sys.client(i).database();
+    db.CreateTable("vehicle", {"speed"});
+    db.GetTable("vehicle").Insert(500, {localdb::Value(25.0)});
   }
+  sys.SubmitQuery(MakeQuery(), ExactParams());
+  // Shares travel on per-query lane topics; the garbage lands on query 1's
+  // lane at proxy 0 so the forward path carries it.
+  const uint8_t garbage[] = {0xBA, 0xD0, 0x01};
+  const broker::ProduceView record{/*key=*/12345, garbage, 900};
+  sys.bus().Produce("proxy0.q1.in",
+                    std::span<const broker::ProduceView>(&record, 1));
+  const system::EpochStats stats = sys.RunEpoch(1000);
+  EXPECT_EQ(stats.malformed_dropped, 1u);
+  EXPECT_EQ(stats.participants, config.num_clients);
+  // Consumed = every well-formed share plus the injected garbage record.
+  EXPECT_EQ(stats.shares_consumed,
+            config.num_clients * config.num_proxies + 1);
+  // EpochStats is defined as a per-epoch delta of the registry counters —
+  // after one epoch, delta and cumulative value must agree exactly.
+  metrics::Registry& reg = sys.metrics_registry();
+  EXPECT_EQ(stats.malformed_dropped,
+            reg.GetCounter("privapprox_malformed_dropped_total", "").Value());
+  EXPECT_EQ(stats.shares_consumed,
+            reg.GetCounter("privapprox_shares_consumed_total", "").Value());
+  EXPECT_EQ(stats.participants,
+            reg.GetCounter("privapprox_participants_total", "").Value());
+  // A clean follow-up epoch reports zero drops: the stat is per-epoch.
+  for (size_t i = 0; i < config.num_clients; ++i) {
+    sys.client(i).database().GetTable("vehicle").Insert(
+        1500, {localdb::Value(25.0)});
+  }
+  EXPECT_EQ(sys.RunEpoch(2000).malformed_dropped, 0u);
+  // Cumulative counter keeps the first epoch's drop.
+  EXPECT_EQ(reg.GetCounter("privapprox_malformed_dropped_total", "").Value(),
+            1u);
 }
 
 // ------------------------------------------------------ out-of-order time
@@ -275,6 +273,53 @@ TEST(FailureTest, DurableHistoricalSurvivesSystemRestart) {
         sys.RunHistorical(0, 10000, aggregator::BatchQueryBudget{1.0});
     EXPECT_EQ(recovered.participants, 40u);
     EXPECT_NEAR(recovered.buckets[2].estimate.value, 40.0, 1e-9);
+  }
+  fs::remove_all(dir);
+}
+
+// The durable historical store holds its directory's lock: a second live
+// system over the same directory is a clear error, not interleaved appends.
+TEST(FailureTest, SecondSystemOnLiveHistoricalDirThrows) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("privapprox_failure_hist_lock_" +
+                        std::to_string(::getpid()));
+  fs::remove_all(dir);
+  system::SystemConfig config;
+  config.num_clients = 4;
+  config.historical.enabled = true;
+  config.historical.dir = dir.string();
+  {
+    system::PrivApproxSystem first(config);
+    EXPECT_THROW(system::PrivApproxSystem{config}, storage::SegmentLogError);
+  }
+  // The lock dies with the first system.
+  EXPECT_NO_THROW(system::PrivApproxSystem{config});
+  fs::remove_all(dir);
+}
+
+// A historical dir written by the pre-PartitionLog store holds
+// answers-NNNNNN.log segments. The system must refuse it, naming the file,
+// rather than open an empty store over it.
+TEST(FailureTest, OldFormatHistoricalDirFailsLoudly) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("privapprox_failure_hist_old_" +
+                        std::to_string(::getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  std::ofstream(dir / "answers-000000.log", std::ios::binary) << "old";
+  system::SystemConfig config;
+  config.num_clients = 4;
+  config.historical.enabled = true;
+  config.historical.dir = dir.string();
+  try {
+    system::PrivApproxSystem sys(config);
+    ADD_FAILURE() << "opened an old-format historical dir";
+  } catch (const storage::SegmentLogError& e) {
+    EXPECT_NE(std::string(e.what()).find("answers-000000.log"),
+              std::string::npos)
+        << e.what();
   }
   fs::remove_all(dir);
 }

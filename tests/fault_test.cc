@@ -4,12 +4,12 @@
 //   1. Zero plan == no plan: a FaultPlan with all probabilities at zero must
 //      leave every observable — fired windows bit for bit, EpochStats,
 //      broker topic byte counters — identical to a system with no plan at
-//      all, in both pipeline modes.
-//   2. Under any seeded plan the run completes without deadlock, the
-//      streaming and barrier modes produce identical results (fault
-//      decisions are (seed, MID, proxy) hashes, never wall-clock or thread
-//      order), and the true population count stays inside the fault-widened
-//      confidence interval.
+//      all.
+//   2. Under any seeded plan the run completes without deadlock, results
+//      are identical at every worker count, channel depth and aggregator
+//      shard count (fault decisions are (seed, MID, proxy) hashes, never
+//      wall-clock or thread order), and the true population count stays
+//      inside the fault-widened confidence interval.
 //
 // The chaos matrix in CI replays this suite across seeds under TSan; the
 // PRIVAPPROX_CHAOS_SEED env var narrows the seed loop to one seed per job
@@ -48,19 +48,36 @@ core::Query SpeedQuery() {
       .Build();
 }
 
-SystemConfig BaseConfig(EpochPipelineMode mode,
-                        std::optional<fault::FaultPlan> plan,
-                        size_t agg_shards = 1) {
+// The epoch pipeline's shape. The default is the reference every other
+// shape must match bit for bit: one worker, one shard batch per channel,
+// one aggregator join shard.
+struct Shape {
+  size_t workers = 1;
+  size_t depth = 1;
+  size_t agg_shards = 1;
+};
+
+// Overlapping stages with deep channels, at two worker counts.
+const Shape kParallelShapes[] = {{2, 16, 1}, {4, 16, 1}};
+constexpr Shape kWide{4, 16, 1};
+
+std::string ShapeName(const Shape& shape) {
+  return "workers=" + std::to_string(shape.workers) +
+         " depth=" + std::to_string(shape.depth) +
+         " shards=" + std::to_string(shape.agg_shards);
+}
+
+SystemConfig BaseConfig(std::optional<fault::FaultPlan> plan,
+                        const Shape& shape = {}) {
   SystemConfig config;
   config.num_clients = kNumClients;
   config.num_proxies = kNumProxies;
   config.seed = 99;
   config.confidence = 0.99;
-  config.pipeline.mode = mode;
-  config.pipeline.num_worker_threads = 4;
-  config.pipeline.depth = 2;
+  config.pipeline.num_worker_threads = shape.workers;
+  config.pipeline.depth = shape.depth;
   config.pipeline.shard_size = 64;  // 400 clients -> 7 in-flight shards
-  config.aggregator.num_shards = agg_shards;
+  config.aggregator.num_shards = shape.agg_shards;
   config.fault = std::move(plan);
   return config;
 }
@@ -89,11 +106,10 @@ const char* const kFaultCounterNames[] = {
     "privapprox_recovery_late_delivered_total",
 };
 
-RunSnapshot RunScenario(EpochPipelineMode mode,
-                        std::optional<fault::FaultPlan> plan,
-                        size_t agg_shards = 1) {
+RunSnapshot RunScenario(std::optional<fault::FaultPlan> plan,
+                        const Shape& shape = {}) {
   const bool has_plan = plan.has_value();
-  PrivApproxSystem sys(BaseConfig(mode, std::move(plan), agg_shards));
+  PrivApproxSystem sys(BaseConfig(std::move(plan), shape));
   for (size_t i = 0; i < kNumClients; ++i) {
     auto& db = sys.client(i).database();
     db.CreateTable("vehicle", {"speed"});
@@ -175,41 +191,36 @@ void ExpectResultsIdentical(const RunSnapshot& a, const RunSnapshot& b) {
 // ----------------------------------------------- invariant 1: bit identity
 
 TEST(FaultTest, ZeroPlanIsBitIdenticalToNoPlan) {
-  for (const auto mode : {EpochPipelineMode::kBarrier,
-                          EpochPipelineMode::kStreaming}) {
-    SCOPED_TRACE(mode == EpochPipelineMode::kBarrier ? "barrier"
-                                                     : "streaming");
-    const RunSnapshot without = RunScenario(mode, std::nullopt);
-    // All probabilities default to zero: the injector routes every share to
-    // its primary untouched and no standby proxies are created.
-    const RunSnapshot with_zero = RunScenario(mode, fault::FaultPlan{});
+  const RunSnapshot without = RunScenario(std::nullopt, kWide);
+  // All probabilities default to zero: the injector routes every share to
+  // its primary untouched and no standby proxies are created.
+  const RunSnapshot with_zero = RunScenario(fault::FaultPlan{}, kWide);
 
-    ExpectResultsIdentical(without, with_zero);
-    ASSERT_EQ(without.epochs.size(), with_zero.epochs.size());
-    for (size_t e = 0; e < without.epochs.size(); ++e) {
-      ExpectEpochStatsEqual(without.epochs[e], with_zero.epochs[e]);
-    }
-    // Identical topic set (no standby topics) and identical byte counters
-    // in both directions.
-    ASSERT_EQ(without.topic_names, with_zero.topic_names);
-    for (size_t t = 0; t < without.topic_metrics.size(); ++t) {
-      EXPECT_EQ(without.topic_metrics[t].records_in,
-                with_zero.topic_metrics[t].records_in)
-          << without.topic_names[t];
-      EXPECT_EQ(without.topic_metrics[t].bytes_in,
-                with_zero.topic_metrics[t].bytes_in)
-          << without.topic_names[t];
-      EXPECT_EQ(without.topic_metrics[t].records_out,
-                with_zero.topic_metrics[t].records_out)
-          << without.topic_names[t];
-      EXPECT_EQ(without.topic_metrics[t].bytes_out,
-                with_zero.topic_metrics[t].bytes_out)
-          << without.topic_names[t];
-    }
-    // Every fault counter stayed at zero.
-    for (const auto& [name, value] : with_zero.fault_counters) {
-      EXPECT_EQ(value, 0u) << name;
-    }
+  ExpectResultsIdentical(without, with_zero);
+  ASSERT_EQ(without.epochs.size(), with_zero.epochs.size());
+  for (size_t e = 0; e < without.epochs.size(); ++e) {
+    ExpectEpochStatsEqual(without.epochs[e], with_zero.epochs[e]);
+  }
+  // Identical topic set (no standby topics) and identical byte counters
+  // in both directions.
+  ASSERT_EQ(without.topic_names, with_zero.topic_names);
+  for (size_t t = 0; t < without.topic_metrics.size(); ++t) {
+    EXPECT_EQ(without.topic_metrics[t].records_in,
+              with_zero.topic_metrics[t].records_in)
+        << without.topic_names[t];
+    EXPECT_EQ(without.topic_metrics[t].bytes_in,
+              with_zero.topic_metrics[t].bytes_in)
+        << without.topic_names[t];
+    EXPECT_EQ(without.topic_metrics[t].records_out,
+              with_zero.topic_metrics[t].records_out)
+        << without.topic_names[t];
+    EXPECT_EQ(without.topic_metrics[t].bytes_out,
+              with_zero.topic_metrics[t].bytes_out)
+        << without.topic_names[t];
+  }
+  // Every fault counter stayed at zero.
+  for (const auto& [name, value] : with_zero.fault_counters) {
+    EXPECT_EQ(value, 0u) << name;
   }
 }
 
@@ -248,67 +259,73 @@ std::vector<uint64_t> ChaosSeeds() {
   return {1, 2, 3, 4};
 }
 
-void MaybeAppendSummary(uint64_t seed, const char* mode,
+void MaybeAppendSummary(uint64_t seed, const Shape& shape,
                         const RunSnapshot& snapshot) {
   const char* path = std::getenv("PRIVAPPROX_FAULT_SUMMARY");
   if (path == nullptr) {
     return;
   }
   std::ofstream out(path, std::ios::app);
-  out << "{\"seed\":" << seed << ",\"mode\":\"" << mode << "\"";
+  out << "{\"seed\":" << seed << ",\"shape\":\"" << ShapeName(shape)
+      << "\"";
   for (const auto& [name, value] : snapshot.fault_counters) {
     out << ",\"" << name << "\":" << value;
   }
   out << ",\"windows\":" << snapshot.results.size() << "}\n";
 }
 
+// Asserts two runs agree on every observable the chaos pins cover: fired
+// windows, per-epoch stats, and the fault/recovery registry totals.
+void ExpectRunsIdentical(const RunSnapshot& a, const RunSnapshot& b) {
+  ExpectResultsIdentical(a, b);
+  ASSERT_EQ(a.epochs.size(), b.epochs.size());
+  for (size_t e = 0; e < a.epochs.size(); ++e) {
+    ExpectEpochStatsEqual(a.epochs[e], b.epochs[e]);
+  }
+  EXPECT_EQ(a.fault_counters, b.fault_counters);
+}
+
 TEST(FaultTest, ChaosSeedsRecoverWithinWidenedCI) {
   for (const uint64_t seed : ChaosSeeds()) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
-    const RunSnapshot barrier =
-        RunScenario(EpochPipelineMode::kBarrier, ChaosPlan(seed));
-    const RunSnapshot streaming =
-        RunScenario(EpochPipelineMode::kStreaming, ChaosPlan(seed));
-    MaybeAppendSummary(seed, "barrier", barrier);
-    MaybeAppendSummary(seed, "streaming", streaming);
+    const RunSnapshot reference = RunScenario(ChaosPlan(seed));
+    MaybeAppendSummary(seed, Shape{}, reference);
 
-    // Mode equivalence: fault decisions are (seed, MID, proxy) hashes and
+    // Shape equivalence: fault decisions are (seed, MID, proxy) hashes and
     // every counter is additive, so results, stats, and fault totals agree
-    // across pipeline shapes.
-    ExpectResultsIdentical(barrier, streaming);
-    ASSERT_EQ(barrier.epochs.size(), streaming.epochs.size());
-    for (size_t e = 0; e < barrier.epochs.size(); ++e) {
-      ExpectEpochStatsEqual(barrier.epochs[e], streaming.epochs[e]);
+    // whether the stages overlap or run in lockstep.
+    for (const Shape& shape : kParallelShapes) {
+      SCOPED_TRACE(ShapeName(shape));
+      const RunSnapshot parallel = RunScenario(ChaosPlan(seed), shape);
+      MaybeAppendSummary(seed, shape, parallel);
+      ExpectRunsIdentical(reference, parallel);
     }
-    EXPECT_EQ(barrier.fault_counters, streaming.fault_counters);
 
     // The plan genuinely exercised injection and recovery.
-    EXPECT_GT(CounterValue(barrier, "privapprox_fault_shares_dropped_total"),
-              0u);
-    EXPECT_GT(CounterValue(barrier, "privapprox_fault_shares_corrupted_total"),
-              0u);
-    EXPECT_GT(CounterValue(barrier, "privapprox_fault_forward_timeouts_total"),
-              0u);
-    EXPECT_GT(CounterValue(barrier, "privapprox_fault_lost_mids_total"), 0u);
-    EXPECT_GT(CounterValue(barrier, "privapprox_recovery_retries_total"), 0u);
-    EXPECT_GT(CounterValue(barrier, "privapprox_recovery_failovers_total"),
-              0u);
-    EXPECT_GT(
-        CounterValue(barrier, "privapprox_recovery_late_delivered_total"), 0u);
+    for (const char* name : {"privapprox_fault_shares_dropped_total",
+                             "privapprox_fault_shares_corrupted_total",
+                             "privapprox_fault_forward_timeouts_total",
+                             "privapprox_fault_lost_mids_total",
+                             "privapprox_recovery_retries_total",
+                             "privapprox_recovery_failovers_total",
+                             "privapprox_recovery_late_delivered_total"}) {
+      EXPECT_GT(CounterValue(reference, name), 0u) << name;
+    }
     // Corrupted records surface as malformed drops at the decode stage.
     uint64_t malformed = 0;
-    for (const auto& stats : barrier.epochs) {
+    for (const auto& stats : reference.epochs) {
       malformed += stats.malformed_dropped;
     }
     EXPECT_GE(malformed,
-              CounterValue(barrier, "privapprox_fault_shares_corrupted_total"));
+              CounterValue(reference,
+                           "privapprox_fault_shares_corrupted_total"));
 
     // Honest accounting under loss: every client holds kSpeed, so the true
     // population count for the target bucket is kNumClients in every
     // window. The fault-widened interval must cover it.
-    ASSERT_GT(barrier.results.size(), 0u);
+    ASSERT_GT(reference.results.size(), 0u);
     bool any_lost = false;
-    for (const auto& windowed : barrier.results) {
+    for (const auto& windowed : reference.results) {
       const auto& bucket = windowed.result.buckets[kTrueBucket];
       EXPECT_LE(std::abs(bucket.estimate.value -
                          static_cast<double>(kNumClients)),
@@ -326,28 +343,14 @@ TEST(FaultTest, ChaosSeedsAreBitIdenticalAcrossAggregatorShardCounts) {
   // Faults stress exactly the state the shard merge must keep order-free:
   // lost-MID attribution, expired join groups, CI widening. Every chaos
   // seed must produce the same results, stats, and fault counters whether
-  // the aggregator runs 1, 2, or 4 join shards, in both pipeline modes.
+  // the aggregator runs 1, 2, or 4 join shards, at any worker count.
   for (const uint64_t seed : ChaosSeeds()) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
-    const RunSnapshot oracle =
-        RunScenario(EpochPipelineMode::kBarrier, ChaosPlan(seed),
-                    /*agg_shards=*/1);
-    for (const auto mode : {EpochPipelineMode::kBarrier,
-                            EpochPipelineMode::kStreaming}) {
-      for (size_t shards : {2u, 4u}) {
-        SCOPED_TRACE("mode=" +
-                     std::string(mode == EpochPipelineMode::kBarrier
-                                     ? "barrier"
-                                     : "streaming") +
-                     " shards=" + std::to_string(shards));
-        const RunSnapshot sharded = RunScenario(mode, ChaosPlan(seed), shards);
-        ExpectResultsIdentical(oracle, sharded);
-        ASSERT_EQ(oracle.epochs.size(), sharded.epochs.size());
-        for (size_t e = 0; e < oracle.epochs.size(); ++e) {
-          ExpectEpochStatsEqual(oracle.epochs[e], sharded.epochs[e]);
-        }
-        EXPECT_EQ(oracle.fault_counters, sharded.fault_counters);
-      }
+    const RunSnapshot reference = RunScenario(ChaosPlan(seed));
+    for (const Shape& shape :
+         {Shape{1, 1, 2}, Shape{1, 1, 4}, Shape{4, 16, 2}, Shape{4, 16, 4}}) {
+      SCOPED_TRACE(ShapeName(shape));
+      ExpectRunsIdentical(reference, RunScenario(ChaosPlan(seed), shape));
     }
   }
 }
@@ -355,84 +358,74 @@ TEST(FaultTest, ChaosSeedsAreBitIdenticalAcrossAggregatorShardCounts) {
 // EpochStats fault/recovery fields are per-epoch deltas of the registry
 // counters: summed over the run they must reproduce the cumulative values.
 TEST(FaultTest, FaultStatsMatchRegistryTotals) {
-  for (const auto mode : {EpochPipelineMode::kBarrier,
-                          EpochPipelineMode::kStreaming}) {
-    SCOPED_TRACE(mode == EpochPipelineMode::kBarrier ? "barrier"
-                                                     : "streaming");
-    const RunSnapshot run = RunScenario(mode, ChaosPlan(7));
-    EpochStats total;
-    for (const auto& stats : run.epochs) {
-      total.malformed_dropped += stats.malformed_dropped;
-      total.fault_shares_dropped += stats.fault_shares_dropped;
-      total.fault_shares_corrupted += stats.fault_shares_corrupted;
-      total.fault_shares_duplicated += stats.fault_shares_duplicated;
-      total.fault_shares_delayed += stats.fault_shares_delayed;
-      total.fault_forward_timeouts += stats.fault_forward_timeouts;
-      total.fault_proxy_crashes += stats.fault_proxy_crashes;
-      total.fault_lost_mids += stats.fault_lost_mids;
-      total.recovery_retries += stats.recovery_retries;
-      total.recovery_failovers += stats.recovery_failovers;
-      total.recovery_late_delivered += stats.recovery_late_delivered;
-    }
-    EXPECT_EQ(CounterValue(run, "privapprox_fault_shares_dropped_total"),
-              total.fault_shares_dropped);
-    EXPECT_EQ(CounterValue(run, "privapprox_fault_shares_corrupted_total"),
-              total.fault_shares_corrupted);
-    EXPECT_EQ(CounterValue(run, "privapprox_fault_shares_duplicated_total"),
-              total.fault_shares_duplicated);
-    EXPECT_EQ(CounterValue(run, "privapprox_fault_shares_delayed_total"),
-              total.fault_shares_delayed);
-    EXPECT_EQ(CounterValue(run, "privapprox_fault_forward_timeouts_total"),
-              total.fault_forward_timeouts);
-    EXPECT_EQ(CounterValue(run, "privapprox_fault_proxy_crashes_total"),
-              total.fault_proxy_crashes);
-    EXPECT_EQ(CounterValue(run, "privapprox_fault_lost_mids_total"),
-              total.fault_lost_mids);
-    EXPECT_EQ(CounterValue(run, "privapprox_recovery_retries_total"),
-              total.recovery_retries);
-    EXPECT_EQ(CounterValue(run, "privapprox_recovery_failovers_total"),
-              total.recovery_failovers);
-    EXPECT_EQ(CounterValue(run, "privapprox_recovery_late_delivered_total"),
-              total.recovery_late_delivered);
+  const RunSnapshot run = RunScenario(ChaosPlan(7), kWide);
+  EpochStats total;
+  for (const auto& stats : run.epochs) {
+    total.malformed_dropped += stats.malformed_dropped;
+    total.fault_shares_dropped += stats.fault_shares_dropped;
+    total.fault_shares_corrupted += stats.fault_shares_corrupted;
+    total.fault_shares_duplicated += stats.fault_shares_duplicated;
+    total.fault_shares_delayed += stats.fault_shares_delayed;
+    total.fault_forward_timeouts += stats.fault_forward_timeouts;
+    total.fault_proxy_crashes += stats.fault_proxy_crashes;
+    total.fault_lost_mids += stats.fault_lost_mids;
+    total.recovery_retries += stats.recovery_retries;
+    total.recovery_failovers += stats.recovery_failovers;
+    total.recovery_late_delivered += stats.recovery_late_delivered;
   }
+  EXPECT_EQ(CounterValue(run, "privapprox_fault_shares_dropped_total"),
+            total.fault_shares_dropped);
+  EXPECT_EQ(CounterValue(run, "privapprox_fault_shares_corrupted_total"),
+            total.fault_shares_corrupted);
+  EXPECT_EQ(CounterValue(run, "privapprox_fault_shares_duplicated_total"),
+            total.fault_shares_duplicated);
+  EXPECT_EQ(CounterValue(run, "privapprox_fault_shares_delayed_total"),
+            total.fault_shares_delayed);
+  EXPECT_EQ(CounterValue(run, "privapprox_fault_forward_timeouts_total"),
+            total.fault_forward_timeouts);
+  EXPECT_EQ(CounterValue(run, "privapprox_fault_proxy_crashes_total"),
+            total.fault_proxy_crashes);
+  EXPECT_EQ(CounterValue(run, "privapprox_fault_lost_mids_total"),
+            total.fault_lost_mids);
+  EXPECT_EQ(CounterValue(run, "privapprox_recovery_retries_total"),
+            total.recovery_retries);
+  EXPECT_EQ(CounterValue(run, "privapprox_recovery_failovers_total"),
+            total.recovery_failovers);
+  EXPECT_EQ(CounterValue(run, "privapprox_recovery_late_delivered_total"),
+            total.recovery_late_delivered);
 }
 
 // ------------------------------------------------------ degradation edges
 
 TEST(FaultTest, AllSharesLostDoesNotDeadlockOrFabricateResults) {
   // drop = 1.0: every share vanishes in transit. The epoch must still
-  // complete in both modes (the streaming shard sequence stays gapless even
-  // when every batch is empty, so FinishStream has nothing parked) and the
-  // system must report no results rather than garbage.
+  // complete (the shard sequence stays gapless even when every batch is
+  // empty, so FinishStream has nothing parked) and the system must report
+  // no results rather than garbage.
   fault::FaultPlan plan;
   plan.seed = 13;
   plan.drop_probability = 1.0;
-  for (const auto mode : {EpochPipelineMode::kBarrier,
-                          EpochPipelineMode::kStreaming}) {
-    SCOPED_TRACE(mode == EpochPipelineMode::kBarrier ? "barrier"
-                                                     : "streaming");
-    PrivApproxSystem sys(BaseConfig(mode, plan));
-    for (size_t i = 0; i < kNumClients; ++i) {
-      auto& db = sys.client(i).database();
-      db.CreateTable("vehicle", {"speed"});
-      db.GetTable("vehicle").Insert(500, {localdb::Value(kSpeed)});
-    }
-    core::ExecutionParams params;
-    params.sampling_fraction = 1.0;
-    params.randomization = {1.0, 0.5};
-    sys.SubmitQuery(SpeedQuery(), params);
-    const EpochStats stats = sys.RunEpoch(1000);
-    sys.AdvanceWatermark(20000);
-    sys.Flush();
-    EXPECT_EQ(stats.participants, kNumClients);
-    EXPECT_EQ(stats.shares_sent, kNumClients * kNumProxies);
-    EXPECT_EQ(stats.fault_shares_dropped, kNumClients * kNumProxies);
-    EXPECT_EQ(stats.fault_lost_mids, kNumClients);  // each MID counted once
-    EXPECT_EQ(stats.shares_forwarded, 0u);
-    EXPECT_EQ(stats.shares_consumed, 0u);
-    EXPECT_TRUE(sys.results().empty());
-    EXPECT_EQ(sys.aggregator().pending_join_groups(), 0u);
+  PrivApproxSystem sys(BaseConfig(plan, kWide));
+  for (size_t i = 0; i < kNumClients; ++i) {
+    auto& db = sys.client(i).database();
+    db.CreateTable("vehicle", {"speed"});
+    db.GetTable("vehicle").Insert(500, {localdb::Value(kSpeed)});
   }
+  core::ExecutionParams params;
+  params.sampling_fraction = 1.0;
+  params.randomization = {1.0, 0.5};
+  sys.SubmitQuery(SpeedQuery(), params);
+  const EpochStats stats = sys.RunEpoch(1000);
+  sys.AdvanceWatermark(20000);
+  sys.Flush();
+  EXPECT_EQ(stats.participants, kNumClients);
+  EXPECT_EQ(stats.shares_sent, kNumClients * kNumProxies);
+  EXPECT_EQ(stats.fault_shares_dropped, kNumClients * kNumProxies);
+  EXPECT_EQ(stats.fault_lost_mids, kNumClients);  // each MID counted once
+  EXPECT_EQ(stats.shares_forwarded, 0u);
+  EXPECT_EQ(stats.shares_consumed, 0u);
+  EXPECT_TRUE(sys.results().empty());
+  EXPECT_EQ(sys.aggregator().pending_join_groups(), 0u);
 }
 
 TEST(FaultTest, RejectsInvalidPlans) {
@@ -440,23 +433,17 @@ TEST(FaultTest, RejectsInvalidPlans) {
     fault::FaultPlan plan;
     plan.drop_probability = 0.7;
     plan.corrupt_probability = 0.4;  // fates sum > 1
-    EXPECT_THROW(PrivApproxSystem(
-                     BaseConfig(EpochPipelineMode::kBarrier, plan)),
-                 std::invalid_argument);
+    EXPECT_THROW(PrivApproxSystem(BaseConfig(plan)), std::invalid_argument);
   }
   {
     fault::FaultPlan plan;
     plan.timeout_probability = 1.5;
-    EXPECT_THROW(PrivApproxSystem(
-                     BaseConfig(EpochPipelineMode::kBarrier, plan)),
-                 std::invalid_argument);
+    EXPECT_THROW(PrivApproxSystem(BaseConfig(plan)), std::invalid_argument);
   }
   {
     fault::FaultPlan plan;
     plan.retry.max_attempts = 0;
-    EXPECT_THROW(PrivApproxSystem(
-                     BaseConfig(EpochPipelineMode::kBarrier, plan)),
-                 std::invalid_argument);
+    EXPECT_THROW(PrivApproxSystem(BaseConfig(plan)), std::invalid_argument);
   }
 }
 
@@ -493,10 +480,10 @@ core::ExecutionParams TempChaosParams() {
 // Same schedule as RunScenario but the query set comes from config.queries
 // and every client carries both columns, so the speed-only, temp-only, and
 // joint runs see identical local databases.
-RunSnapshot RunMultiChaosScenario(EpochPipelineMode mode,
-                                  std::optional<fault::FaultPlan> plan,
-                                  bool with_speed, bool with_temp) {
-  SystemConfig config = BaseConfig(mode, std::move(plan));
+RunSnapshot RunMultiChaosScenario(std::optional<fault::FaultPlan> plan,
+                                  bool with_speed, bool with_temp,
+                                  const Shape& shape = {}) {
+  SystemConfig config = BaseConfig(std::move(plan), shape);
   if (with_speed) {
     config.queries.push_back({SpeedQuery(), SpeedChaosParams()});
   }
@@ -565,28 +552,25 @@ TEST(MultiQueryFaultTest, TwoQueryChaosMatchesIsolatedRunsPerQuery) {
   // Fault fates are pure (plan seed, salt, QID, MID, proxy) hashes and
   // proxy crashes are (epoch, proxy) draws, so the chaos a query suffers
   // must not depend on which other queries share the fleet. The joint
-  // 2-query run must agree with both pipeline modes AND, per query, be bit
-  // identical — estimates, widened errors, lost_to_faults — to the run
-  // where that query has the system to itself. This also pins that CI
-  // widening is driven by each lane's own losses, never pooled across
-  // queries.
+  // 2-query run must agree across worker counts and channel depths AND,
+  // per query, be bit identical — estimates, widened errors,
+  // lost_to_faults — to the run where that query has the system to itself.
+  // This also pins that CI widening is driven by each lane's own losses,
+  // never pooled across queries.
   for (const uint64_t seed : ChaosSeeds()) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
-    const RunSnapshot joint = RunMultiChaosScenario(
-        EpochPipelineMode::kBarrier, ChaosPlan(seed), true, true);
-    const RunSnapshot joint_streaming = RunMultiChaosScenario(
-        EpochPipelineMode::kStreaming, ChaosPlan(seed), true, true);
-    ExpectResultsIdentical(joint, joint_streaming);
-    ASSERT_EQ(joint.epochs.size(), joint_streaming.epochs.size());
-    for (size_t e = 0; e < joint.epochs.size(); ++e) {
-      ExpectEpochStatsEqual(joint.epochs[e], joint_streaming.epochs[e]);
+    const RunSnapshot joint =
+        RunMultiChaosScenario(ChaosPlan(seed), true, true);
+    for (const Shape& shape : kParallelShapes) {
+      SCOPED_TRACE(ShapeName(shape));
+      ExpectRunsIdentical(
+          joint, RunMultiChaosScenario(ChaosPlan(seed), true, true, shape));
     }
-    EXPECT_EQ(joint.fault_counters, joint_streaming.fault_counters);
 
-    const RunSnapshot solo_speed = RunMultiChaosScenario(
-        EpochPipelineMode::kBarrier, ChaosPlan(seed), true, false);
-    const RunSnapshot solo_temp = RunMultiChaosScenario(
-        EpochPipelineMode::kBarrier, ChaosPlan(seed), false, true);
+    const RunSnapshot solo_speed =
+        RunMultiChaosScenario(ChaosPlan(seed), true, false);
+    const RunSnapshot solo_temp =
+        RunMultiChaosScenario(ChaosPlan(seed), false, true);
     ExpectWindowedResultsIdentical(ResultsForQuery(joint, 1),
                                    solo_speed.results);
     ExpectWindowedResultsIdentical(ResultsForQuery(joint, 2),

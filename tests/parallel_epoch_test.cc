@@ -1,15 +1,13 @@
-// Determinism of the parallel epoch pipeline (system/system.cc): RunEpoch
-// with num_worker_threads=1 and num_worker_threads=N must produce identical
-// WindowedResults and byte-identical broker topic contents. The parallel
-// path shards client answering across the pool but merges shares into proxy
-// topics in client-id order, so every downstream byte and double matches the
-// sequential run exactly.
-//
-// The streaming stage/channel mode must additionally match the barrier mode
-// bit-for-bit at every worker count: per-proxy reorder buffers keep topic
+// Determinism of the epoch pipeline (system/system.cc). RunEpoch runs as
+// concurrent stages — client shards, per-proxy forwarding, aggregator
+// decode — over bounded channels; per-proxy reorder buffers keep topic
 // appends in client-id order, and the aggregator's reorder buffer feeds the
-// MID join in deterministic (shard, source) order. Run this suite under
-// -DPRIVAPPROX_SANITIZE=thread to check the stage synchronization.
+// MID join in deterministic (shard, source) order. So at every worker
+// count, channel depth and aggregator shard count a run must match the
+// sequential four-phase oracle (sequential_oracle.h: answer all clients,
+// receive, forward, drain — the barrier schedule) bit for bit: fired
+// windows, EpochStats, and per-topic record/byte counters. Run this suite
+// under -DPRIVAPPROX_SANITIZE=thread to check the stage synchronization.
 
 #include <gtest/gtest.h>
 
@@ -17,10 +15,13 @@
 
 #include "core/budget_manager.h"
 #include "core/privacy.h"
+#include "sequential_oracle.h"
 #include "system/system.h"
 
 namespace privapprox::system {
 namespace {
+
+using reference::SequentialOracle;
 
 core::Query SpeedQuery() {
   return core::QueryBuilder()
@@ -33,6 +34,13 @@ core::Query SpeedQuery() {
       .Build();
 }
 
+core::ExecutionParams SpeedParams() {
+  core::ExecutionParams params;
+  params.sampling_fraction = 0.6;
+  params.randomization = {0.9, 0.6};
+  return params;
+}
+
 // Per-topic counters plus every fired window, captured after a fixed epoch
 // schedule — the full observable output of one run.
 struct RunSnapshot {
@@ -42,38 +50,73 @@ struct RunSnapshot {
   std::vector<std::string> topic_names;
 };
 
-RunSnapshot RunScenario(size_t num_worker_threads,
-                        EpochPipelineMode mode = EpochPipelineMode::kBarrier,
-                        size_t pipeline_depth = 2, size_t agg_shards = 1) {
+// The pipeline's shape: worker threads, channel depth, aggregator shards.
+struct Shape {
+  size_t workers = 1;
+  size_t depth = 2;
+  size_t agg_shards = 1;
+};
+
+std::string ShapeName(const Shape& shape) {
+  return "workers=" + std::to_string(shape.workers) +
+         " depth=" + std::to_string(shape.depth) +
+         " shards=" + std::to_string(shape.agg_shards);
+}
+
+// Every combination the oracle pins: workers 1/2/4, depth 1/16, shards
+// 1/2/4.
+std::vector<Shape> ShapeGrid() {
+  std::vector<Shape> grid;
+  for (size_t workers : {1u, 2u, 4u}) {
+    for (size_t depth : {1u, 16u}) {
+      for (size_t shards : {1u, 2u, 4u}) {
+        grid.push_back(Shape{workers, depth, shards});
+      }
+    }
+  }
+  return grid;
+}
+
+// 400 clients, 3 proxies, the given query set; small shards so the 400
+// clients split into 7 in-flight batches and the stages genuinely overlap.
+SystemConfig ScenarioConfig(std::vector<SystemConfig::QuerySpec> queries,
+                            const Shape& shape) {
   SystemConfig config;
   config.num_clients = 400;
   config.num_proxies = 3;
   config.seed = 99;
-  config.pipeline.num_worker_threads = num_worker_threads;
-  config.pipeline.mode = mode;
-  config.pipeline.depth = pipeline_depth;
-  config.aggregator.num_shards = agg_shards;
-  // Small shards so the 400 clients split into 7 in-flight batches and the
-  // streaming stages genuinely overlap.
+  config.queries = std::move(queries);
+  config.pipeline.num_worker_threads = shape.workers;
+  config.pipeline.depth = shape.depth;
   config.pipeline.shard_size = 64;
-  PrivApproxSystem sys(config);
-  for (size_t i = 0; i < config.num_clients; ++i) {
-    auto& db = sys.client(i).database();
-    db.CreateTable("vehicle", {"speed"});
-    // Spread clients across buckets; refresh rows per epoch below.
-    db.GetTable("vehicle").Insert(
-        500, {localdb::Value(static_cast<double>((i * 13) % 100))});
-  }
-  core::ExecutionParams params;
-  params.sampling_fraction = 0.6;
-  params.randomization = {0.9, 0.6};
-  sys.SubmitQuery(SpeedQuery(), params);
+  config.aggregator.num_shards = shape.agg_shards;
+  return config;
+}
 
+// Drives a PrivApproxSystem or a SequentialOracle through the standard
+// 3-epoch schedule: every client carries speed and temperature readings,
+// refreshed each epoch. `late_query`, when set, is submitted after the
+// databases are loaded (the SubmitQuery path) rather than via the config.
+template <typename Pipeline>
+RunSnapshot Drive(Pipeline& sys, size_t num_clients,
+                  const SystemConfig::QuerySpec* late_query = nullptr) {
+  const auto row = [](size_t i) {
+    return std::vector<localdb::Value>{
+        localdb::Value(static_cast<double>((i * 13) % 100)),
+        localdb::Value(static_cast<double>((i * 7) % 100))};
+  };
+  for (size_t i = 0; i < num_clients; ++i) {
+    auto& db = sys.client(i).database();
+    db.CreateTable("vehicle", {"speed", "temperature"});
+    db.GetTable("vehicle").Insert(500, row(i));
+  }
+  if (late_query != nullptr) {
+    sys.SubmitQuery(late_query->query, late_query->params);
+  }
   RunSnapshot snapshot;
   for (int64_t now = 5000; now <= 15000; now += 5000) {
-    for (size_t i = 0; i < config.num_clients; ++i) {
-      sys.client(i).database().GetTable("vehicle").Insert(
-          now - 100, {localdb::Value(static_cast<double>((i * 13) % 100))});
+    for (size_t i = 0; i < num_clients; ++i) {
+      sys.client(i).database().GetTable("vehicle").Insert(now - 100, row(i));
     }
     snapshot.epochs.push_back(sys.RunEpoch(now));
     sys.AdvanceWatermark(now);
@@ -85,6 +128,18 @@ RunSnapshot RunScenario(size_t num_worker_threads,
     snapshot.topic_metrics.push_back(sys.broker().GetTopic(name).metrics());
   }
   return snapshot;
+}
+
+// The speed query submitted after construction, on the streaming system.
+RunSnapshot RunScenario(const Shape& shape) {
+  const SystemConfig::QuerySpec speed{SpeedQuery(), SpeedParams()};
+  PrivApproxSystem sys(ScenarioConfig({}, shape));
+  return Drive(sys, 400, &speed);
+}
+
+RunSnapshot RunOracle(std::vector<SystemConfig::QuerySpec> queries) {
+  SequentialOracle oracle(ScenarioConfig(std::move(queries), Shape{}));
+  return Drive(oracle, 400);
 }
 
 // Asserts two runs are observably identical: per-epoch stats, fired windows
@@ -142,71 +197,47 @@ void ExpectSnapshotsIdentical(const RunSnapshot& sequential,
 }
 
 TEST(ParallelEpochTest, ParallelMatchesSequentialExactly) {
-  ExpectSnapshotsIdentical(RunScenario(1), RunScenario(4));
+  ExpectSnapshotsIdentical(RunScenario(Shape{1}), RunScenario(Shape{4}));
 }
 
 TEST(ParallelEpochTest, StreamingMatchesBarrierBitForBitAtEveryWorkerCount) {
-  const RunSnapshot barrier = RunScenario(1, EpochPipelineMode::kBarrier);
-  for (size_t workers : {1u, 2u, 4u}) {
-    SCOPED_TRACE("workers=" + std::to_string(workers));
-    ExpectSnapshotsIdentical(
-        barrier, RunScenario(workers, EpochPipelineMode::kStreaming));
+  const RunSnapshot oracle = RunOracle({{SpeedQuery(), SpeedParams()}});
+  for (const Shape& shape : ShapeGrid()) {
+    SCOPED_TRACE(ShapeName(shape));
+    ExpectSnapshotsIdentical(oracle, RunScenario(shape));
   }
 }
 
 TEST(ParallelEpochTest, ShardedAggregatorIsBitIdenticalToSingleShard) {
   // The shard/merge determinism invariant (DESIGN.md §6g): any shard count,
-  // in either pipeline mode, at any worker count, produces the same
-  // results, stats, and broker traffic as the 1-shard 1-thread run.
-  const RunSnapshot oracle =
-      RunScenario(1, EpochPipelineMode::kBarrier, 2, /*agg_shards=*/1);
-  for (const auto mode :
-       {EpochPipelineMode::kBarrier, EpochPipelineMode::kStreaming}) {
-    for (size_t shards : {1u, 2u, 4u}) {
-      for (size_t workers : {1u, 4u}) {
-        SCOPED_TRACE("mode=" +
-                     std::string(mode == EpochPipelineMode::kBarrier
-                                     ? "barrier"
-                                     : "streaming") +
-                     " shards=" + std::to_string(shards) +
-                     " workers=" + std::to_string(workers));
-        ExpectSnapshotsIdentical(oracle,
-                                 RunScenario(workers, mode, 2, shards));
-      }
+  // at any worker count, produces the same results, stats, and broker
+  // traffic as the 1-shard 1-thread run.
+  const RunSnapshot single = RunScenario(Shape{1, 2, 1});
+  for (size_t shards : {2u, 4u}) {
+    for (size_t workers : {1u, 4u}) {
+      const Shape shape{workers, 2, shards};
+      SCOPED_TRACE(ShapeName(shape));
+      ExpectSnapshotsIdentical(single, RunScenario(shape));
     }
   }
 }
 
 TEST(ParallelEpochTest, DefaultShardCountFollowsWorkerThreads) {
   // aggregator.num_shards = 0 resolves to one shard per worker thread;
-  // the result must still match the explicit 1-shard oracle.
-  const RunSnapshot oracle =
-      RunScenario(1, EpochPipelineMode::kBarrier, 2, /*agg_shards=*/1);
-  ExpectSnapshotsIdentical(
-      oracle, RunScenario(4, EpochPipelineMode::kStreaming, 2,
-                          /*agg_shards=*/0));
+  // the result must still match the oracle's single shard.
+  ExpectSnapshotsIdentical(RunOracle({{SpeedQuery(), SpeedParams()}}),
+                           RunScenario(Shape{4, 2, /*agg_shards=*/0}));
 }
 
 TEST(ParallelEpochTest, StreamingIsInsensitiveToPipelineDepth) {
-  const RunSnapshot deep =
-      RunScenario(4, EpochPipelineMode::kStreaming, /*pipeline_depth=*/16);
-  const RunSnapshot shallow =
-      RunScenario(4, EpochPipelineMode::kStreaming, /*pipeline_depth=*/1);
-  ExpectSnapshotsIdentical(deep, shallow);
+  ExpectSnapshotsIdentical(RunScenario(Shape{4, 16}),
+                           RunScenario(Shape{4, 1}));
 }
 
 TEST(ParallelEpochTest, WorkerThreadKnobIsHonored) {
   SystemConfig config;
   config.num_clients = 2;
   config.pipeline.num_worker_threads = 3;
-  PrivApproxSystem sys(config);
-  EXPECT_EQ(sys.num_worker_threads(), 3u);
-}
-
-TEST(ParallelEpochTest, DeprecatedWorkerThreadAliasStillHonored) {
-  SystemConfig config;
-  config.num_clients = 2;
-  config.num_worker_threads = 3;  // legacy flat name
   PrivApproxSystem sys(config);
   EXPECT_EQ(sys.num_worker_threads(), 3u);
 }
@@ -220,41 +251,29 @@ TEST(ParallelEpochTest, DefaultUsesHardwareConcurrency) {
 
 // EpochStats is defined as the per-epoch delta of the registry's core
 // pipeline counters; summing the deltas over a run must reproduce the
-// cumulative registry values exactly, in both pipeline modes.
-void ExpectStatsMatchRegistry(EpochPipelineMode mode) {
+// cumulative registry values exactly.
+TEST(ParallelEpochTest, EpochStatsMatchesRegistryStreaming) {
   SystemConfig config;
   config.num_clients = 150;
   config.num_proxies = 2;
   config.seed = 31;
   config.pipeline.num_worker_threads = 2;
-  config.pipeline.mode = mode;
   config.pipeline.shard_size = 32;
+  config.queries = {{SpeedQuery(), SpeedParams()}};
   PrivApproxSystem sys(config);
-  for (size_t i = 0; i < config.num_clients; ++i) {
-    auto& db = sys.client(i).database();
-    db.CreateTable("vehicle", {"speed"});
-    db.GetTable("vehicle").Insert(
-        500, {localdb::Value(static_cast<double>((i * 13) % 100))});
-  }
-  core::ExecutionParams params;
-  params.sampling_fraction = 0.6;
-  params.randomization = {0.9, 0.6};
-  sys.SubmitQuery(SpeedQuery(), params);
-
+  const RunSnapshot run = Drive(sys, config.num_clients);
   EpochStats total;
-  size_t epochs = 0;
-  for (int64_t now = 5000; now <= 15000; now += 5000) {
-    const EpochStats stats = sys.RunEpoch(now);
+  for (const EpochStats& stats : run.epochs) {
     total.participants += stats.participants;
     total.shares_sent += stats.shares_sent;
     total.shares_forwarded += stats.shares_forwarded;
     total.shares_consumed += stats.shares_consumed;
     total.malformed_dropped += stats.malformed_dropped;
-    ++epochs;
   }
 
   auto& reg = sys.metrics_registry();
-  EXPECT_EQ(reg.GetCounter("privapprox_epochs_total", "").Value(), epochs);
+  EXPECT_EQ(reg.GetCounter("privapprox_epochs_total", "").Value(),
+            run.epochs.size());
   EXPECT_EQ(reg.GetCounter("privapprox_participants_total", "").Value(),
             total.participants);
   EXPECT_EQ(reg.GetCounter("privapprox_shares_sent_total", "").Value(),
@@ -266,14 +285,6 @@ void ExpectStatsMatchRegistry(EpochPipelineMode mode) {
   EXPECT_EQ(reg.GetCounter("privapprox_malformed_dropped_total", "").Value(),
             total.malformed_dropped);
   EXPECT_GT(total.shares_sent, 0u);
-}
-
-TEST(ParallelEpochTest, EpochStatsMatchesRegistryBarrier) {
-  ExpectStatsMatchRegistry(EpochPipelineMode::kBarrier);
-}
-
-TEST(ParallelEpochTest, EpochStatsMatchesRegistryStreaming) {
-  ExpectStatsMatchRegistry(EpochPipelineMode::kStreaming);
 }
 
 // ---------------------------------------------------- multi-query runtime
@@ -289,13 +300,6 @@ core::Query TempQuery() {
       .Build();
 }
 
-core::ExecutionParams SpeedParams() {
-  core::ExecutionParams params;
-  params.sampling_fraction = 0.6;
-  params.randomization = {0.9, 0.6};
-  return params;
-}
-
 core::ExecutionParams TempParams() {
   core::ExecutionParams params;
   params.sampling_fraction = 0.8;
@@ -303,107 +307,32 @@ core::ExecutionParams TempParams() {
   return params;
 }
 
-// Runs the standard 3-epoch schedule with an arbitrary query set and
-// returns the full observable output.
+// The standard schedule with the query set arriving via the config.
 RunSnapshot RunMultiScenario(std::vector<SystemConfig::QuerySpec> queries,
-                             size_t num_worker_threads,
-                             EpochPipelineMode mode) {
-  SystemConfig config;
-  config.num_clients = 400;
-  config.num_proxies = 3;
-  config.seed = 99;
-  config.queries = std::move(queries);
-  config.pipeline.num_worker_threads = num_worker_threads;
-  config.pipeline.mode = mode;
-  config.pipeline.depth = 2;
-  config.pipeline.shard_size = 64;
-  config.aggregator.num_shards = 2;
-  PrivApproxSystem sys(config);
-  for (size_t i = 0; i < config.num_clients; ++i) {
-    auto& db = sys.client(i).database();
-    db.CreateTable("vehicle", {"speed", "temperature"});
-    db.GetTable("vehicle").Insert(
-        500, {localdb::Value(static_cast<double>((i * 13) % 100)),
-              localdb::Value(static_cast<double>((i * 7) % 100))});
-  }
-  RunSnapshot snapshot;
-  for (int64_t now = 5000; now <= 15000; now += 5000) {
-    for (size_t i = 0; i < config.num_clients; ++i) {
-      sys.client(i).database().GetTable("vehicle").Insert(
-          now - 100, {localdb::Value(static_cast<double>((i * 13) % 100)),
-                      localdb::Value(static_cast<double>((i * 7) % 100))});
-    }
-    snapshot.epochs.push_back(sys.RunEpoch(now));
-    sys.AdvanceWatermark(now);
-  }
-  sys.Flush();
-  snapshot.results = sys.TakeResults();
-  for (const std::string& name : sys.broker().TopicNames()) {
-    snapshot.topic_names.push_back(name);
-    snapshot.topic_metrics.push_back(sys.broker().GetTopic(name).metrics());
-  }
-  return snapshot;
+                             const Shape& shape) {
+  PrivApproxSystem sys(ScenarioConfig(std::move(queries), shape));
+  return Drive(sys, 400);
 }
 
-// Anchor invariant: a multi-query run with exactly one query is observably
-// identical — results, per-epoch stats, every broker topic counter — to
-// the classic single-query SubmitQuery path, in both pipeline modes.
+// Anchor invariant: a run whose single query arrives via the config's query
+// list is observably identical — results, per-epoch stats, every broker
+// topic counter — to the classic SubmitQuery path.
 TEST(MultiQueryTest, OneQueryConfigListMatchesLegacySubmitExactly) {
-  for (const auto mode :
-       {EpochPipelineMode::kBarrier, EpochPipelineMode::kStreaming}) {
-    SCOPED_TRACE(mode == EpochPipelineMode::kBarrier ? "barrier"
-                                                     : "streaming");
-    const RunSnapshot legacy =
-        RunScenario(2, mode, /*pipeline_depth=*/2, /*agg_shards=*/2);
-    // Same scenario, but the query arrives via the config's query list.
-    SystemConfig config;
-    config.num_clients = 400;
-    config.num_proxies = 3;
-    config.seed = 99;
-    config.queries = {{SpeedQuery(), SpeedParams()}};
-    config.pipeline.num_worker_threads = 2;
-    config.pipeline.mode = mode;
-    config.pipeline.depth = 2;
-    config.pipeline.shard_size = 64;
-    config.aggregator.num_shards = 2;
-    PrivApproxSystem sys(config);
-    for (size_t i = 0; i < config.num_clients; ++i) {
-      auto& db = sys.client(i).database();
-      db.CreateTable("vehicle", {"speed"});
-      db.GetTable("vehicle").Insert(
-          500, {localdb::Value(static_cast<double>((i * 13) % 100))});
-    }
-    RunSnapshot multi;
-    for (int64_t now = 5000; now <= 15000; now += 5000) {
-      for (size_t i = 0; i < config.num_clients; ++i) {
-        sys.client(i).database().GetTable("vehicle").Insert(
-            now - 100, {localdb::Value(static_cast<double>((i * 13) % 100))});
-      }
-      multi.epochs.push_back(sys.RunEpoch(now));
-      sys.AdvanceWatermark(now);
-    }
-    sys.Flush();
-    multi.results = sys.TakeResults();
-    for (const std::string& name : sys.broker().TopicNames()) {
-      multi.topic_names.push_back(name);
-      multi.topic_metrics.push_back(sys.broker().GetTopic(name).metrics());
-    }
-    ExpectSnapshotsIdentical(legacy, multi);
-  }
+  const Shape shape{2, 2, 2};
+  ExpectSnapshotsIdentical(
+      RunScenario(shape),
+      RunMultiScenario({{SpeedQuery(), SpeedParams()}}, shape));
 }
 
-// With two concurrent queries the streaming dataflow must still be
-// bit-identical to the barrier reference, at one worker and at several.
+// With two concurrent queries the streaming dataflow must still match the
+// sequential oracle bit for bit, at every shape.
 TEST(MultiQueryTest, TwoQueryStreamingMatchesBarrierAtEveryWorkerCount) {
   const std::vector<SystemConfig::QuerySpec> queries = {
       {SpeedQuery(), SpeedParams()}, {TempQuery(), TempParams()}};
-  const RunSnapshot barrier =
-      RunMultiScenario(queries, 1, EpochPipelineMode::kBarrier);
-  for (const size_t workers : {1u, 4u}) {
-    SCOPED_TRACE("workers=" + std::to_string(workers));
-    const RunSnapshot streaming =
-        RunMultiScenario(queries, workers, EpochPipelineMode::kStreaming);
-    ExpectSnapshotsIdentical(barrier, streaming);
+  const RunSnapshot oracle = RunOracle(queries);
+  for (const Shape& shape : ShapeGrid()) {
+    SCOPED_TRACE(ShapeName(shape));
+    ExpectSnapshotsIdentical(oracle, RunMultiScenario(queries, shape));
   }
 }
 
@@ -412,16 +341,15 @@ TEST(MultiQueryTest, TwoQueryStreamingMatchesBarrierAtEveryWorkerCount) {
 // shared sampling draw plus per-query randomization streams guarantee no
 // cross-query interference. Lane topic traffic must match too.
 TEST(MultiQueryTest, EachQueryMatchesItsIsolatedRun) {
+  const Shape shape{2, 2, 2};
   const RunSnapshot joint = RunMultiScenario(
-      {{SpeedQuery(), SpeedParams()}, {TempQuery(), TempParams()}}, 2,
-      EpochPipelineMode::kStreaming);
+      {{SpeedQuery(), SpeedParams()}, {TempQuery(), TempParams()}}, shape);
   const std::vector<SystemConfig::QuerySpec> solos[] = {
       {{SpeedQuery(), SpeedParams()}}, {{TempQuery(), TempParams()}}};
   for (const auto& solo_spec : solos) {
     const uint64_t qid = solo_spec[0].query.query_id;
     SCOPED_TRACE("query=" + std::to_string(qid));
-    const RunSnapshot solo =
-        RunMultiScenario(solo_spec, 2, EpochPipelineMode::kStreaming);
+    const RunSnapshot solo = RunMultiScenario(solo_spec, shape);
 
     // Results for this query, in order, bit for bit.
     std::vector<const aggregator::WindowedResult*> joint_q;

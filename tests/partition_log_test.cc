@@ -18,7 +18,6 @@
 #include <unistd.h>
 
 #include "storage/partition_log.h"
-#include "storage/segment_log.h"
 
 namespace privapprox::storage {
 namespace {
@@ -424,14 +423,6 @@ TEST(DirLockTest, ExclusiveWithinProcess) {
   first.Release();
   second.Acquire(dir.path(), "test");
   EXPECT_TRUE(second.held());
-}
-
-// The historical answer log shares the directory lock: double-opening the
-// same directory is a clear error, not interleaved segment writes.
-TEST(SegmentedAnswerLogLockTest, DoubleOpenThrows) {
-  TempDir dir;
-  SegmentedAnswerLog first(dir.path());
-  EXPECT_THROW(SegmentedAnswerLog(dir.path()), SegmentLogError);
 }
 
 }  // namespace

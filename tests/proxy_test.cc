@@ -5,9 +5,21 @@
 
 #include "broker/broker.h"
 #include "proxy/proxy.h"
+#include "transport/inproc_bus.h"
 
 namespace privapprox::proxy {
 namespace {
+
+// Every record on `topic`, read through a fresh BusConsumer.
+std::vector<broker::RecordView> ReadAll(broker::Broker& b,
+                                        const std::string& topic) {
+  transport::InProcessBus bus(b);
+  transport::BusConsumer consumer(bus, topic);
+  std::vector<broker::RecordView> records;
+  while (consumer.PollInto(64, records) != 0) {
+  }
+  return records;
+}
 
 TEST(ProxyTest, CreatesItsTopics) {
   broker::Broker b;
@@ -43,16 +55,11 @@ TEST(ProxyTest, ForwardMovesEverythingInToOut) {
   }
   EXPECT_EQ(proxy.Forward(), 100u);
   EXPECT_EQ(proxy.forwarded(), 100u);
-  broker::Consumer consumer(b.GetTopic("proxy1.out"));
-  size_t count = 0;
-  while (!consumer.CaughtUp()) {
-    for (const auto& record : consumer.Poll(32)) {
-      const auto share = Proxy::DecodeShare(record.payload);
-      EXPECT_EQ(share.payload.size(), 1u);
-      ++count;
-    }
+  const auto records = ReadAll(b, "proxy1.out");
+  for (const auto& record : records) {
+    EXPECT_EQ(Proxy::DecodeShare(record.bytes()).payload.size(), 1u);
   }
-  EXPECT_EQ(count, 100u);
+  EXPECT_EQ(records.size(), 100u);
 }
 
 TEST(ProxyTest, ForwardPreservesTimestamps) {
@@ -60,8 +67,7 @@ TEST(ProxyTest, ForwardPreservesTimestamps) {
   Proxy proxy(ProxyConfig{0, 1}, b);
   proxy.Receive(crypto::MessageShare{1, {9}}, 12345);
   proxy.Forward();
-  broker::Consumer consumer(b.GetTopic("proxy0.out"));
-  const auto records = consumer.Poll(10);
+  const auto records = ReadAll(b, "proxy0.out");
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].timestamp_ms, 12345);
 }
@@ -91,12 +97,7 @@ TEST(ProxyTest, ParallelForwardMovesEverything) {
   }
   ThreadPool pool(4);
   EXPECT_EQ(proxy.ForwardParallel(pool), 5000u);
-  broker::Consumer consumer(b.GetTopic("proxy0.out"));
-  size_t count = 0;
-  while (!consumer.CaughtUp()) {
-    count += consumer.Poll(512).size();
-  }
-  EXPECT_EQ(count, 5000u);
+  EXPECT_EQ(ReadAll(b, "proxy0.out").size(), 5000u);
 }
 
 TEST(ProxyTest, TwoProxiesAreIndependent) {

@@ -7,6 +7,7 @@
 #include "client/client.h"
 #include "core/query_wire.h"
 #include "proxy/proxy.h"
+#include "transport/inproc_bus.h"
 
 namespace privapprox::core {
 namespace {
@@ -106,12 +107,15 @@ TEST(QueryDistributionTest, AnnouncementReachesClientThroughProxy) {
   proxy.AnnounceQuery(SerializeAnnouncement(ann), 0);
   EXPECT_EQ(proxy.ForwardQueries(), 1u);
 
-  broker::Consumer consumer(b.GetTopic(proxy.query_out_topic()));
-  const auto records = consumer.Poll(4);
+  transport::InProcessBus bus(b);
+  transport::BusConsumer consumer(bus, proxy.query_out_topic());
+  std::vector<broker::RecordView> records;
+  consumer.PollInto(4, records);
   ASSERT_EQ(records.size(), 1u);
 
   client::Client client(client::ClientConfig{0, 2, 1});
-  client.OnAnnouncement(records[0].payload);
+  const auto bytes = records[0].bytes();
+  client.OnAnnouncement(std::vector<uint8_t>(bytes.begin(), bytes.end()));
   EXPECT_TRUE(client.subscribed());
   EXPECT_EQ(client.query().query_id, ann.query.query_id);
 }

@@ -1,6 +1,7 @@
-// Tests for the durable segmented answer log: CRC32 vectors, round-trips,
-// segment rotation, time-range loads, torn-tail recovery, and corruption
-// detection.
+// Tests for the storage module's CRC32 and the durable historical answer
+// store: answer records on a PartitionLog (storage/response_store.h) —
+// round-trips, time-range loads, rotation, torn-tail recovery, and
+// corruption detection through the answer codec.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +15,8 @@
 
 #include "storage/crc32.h"
 #include "aggregator/historical.h"
-#include "storage/segment_log.h"
+#include "storage/partition_log.h"
+#include "storage/response_store.h"
 
 namespace privapprox::storage {
 namespace {
@@ -73,151 +75,162 @@ TEST(Crc32Test, DetectsBitFlips) {
   EXPECT_NE(Crc32(buffer, sizeof(buffer)), original);
 }
 
-// ------------------------------------------------------------- segment log
+// ------------------------------------------------ historical answer log
+
+constexpr char kFirstSegment[] = "seg-00000000000000000000.log";
+
+PartitionLogOptions SegmentBytes(uint64_t max_segment_bytes) {
+  PartitionLogOptions options;
+  options.max_segment_bytes = max_segment_bytes;
+  return options;
+}
+
+ResponseStore LoadAll(const PartitionLog& log) {
+  return LoadRange(log, INT64_MIN, INT64_MAX);
+}
 
 TEST(SegmentLogTest, AppendAndLoadRoundTrip) {
   TempDir dir;
-  SegmentedAnswerLog log(dir.path());
+  PartitionLog log(dir.path(), PartitionLogOptions{});
   for (int64_t ts = 0; ts < 100; ++ts) {
-    log.Append(ts, MakeAnswer(11, static_cast<size_t>(ts % 11)));
+    // 11 bits: the bit count is not a multiple of 8 and must survive.
+    AppendAnswer(log, ts, MakeAnswer(11, static_cast<size_t>(ts % 11)));
   }
-  EXPECT_EQ(log.num_records(), 100u);
-  const ResponseStore store = log.LoadRange(INT64_MIN, INT64_MAX);
+  EXPECT_EQ(log.end_offset(), 100u);
+  const ResponseStore store = LoadAll(log);
   ASSERT_EQ(store.size(), 100u);
   const auto range = store.Range(0, 100);
   EXPECT_TRUE(range[42]->answer.Get(42 % 11));
   EXPECT_EQ(range[42]->answer.size(), 11u);
+  EXPECT_EQ(range[42]->answer, MakeAnswer(11, 42 % 11));
 }
 
 TEST(SegmentLogTest, TimeRangeFilter) {
   TempDir dir;
-  SegmentedAnswerLog log(dir.path());
+  PartitionLog log(dir.path(), PartitionLogOptions{});
   for (int64_t ts = 0; ts < 50; ++ts) {
-    log.Append(ts * 10, MakeAnswer(4, 0));
+    AppendAnswer(log, ts * 10, MakeAnswer(4, 0));
   }
-  EXPECT_EQ(log.LoadRange(100, 200).size(), 10u);
-  EXPECT_EQ(log.LoadRange(1000, 2000).size(), 0u);
+  // [from, to): the lower edge is kept, the upper edge is not.
+  const ResponseStore store = LoadRange(log, 100, 200);
+  ASSERT_EQ(store.size(), 10u);
+  const auto range = store.Range(INT64_MIN, INT64_MAX);
+  EXPECT_EQ(range.front()->timestamp_ms, 100);
+  EXPECT_EQ(range.back()->timestamp_ms, 190);
+  EXPECT_EQ(LoadRange(log, 101, 110).size(), 0u);
+  EXPECT_EQ(LoadRange(log, 490, 491).size(), 1u);
+  EXPECT_EQ(LoadRange(log, 1000, 2000).size(), 0u);
 }
 
 TEST(SegmentLogTest, RotatesSegments) {
   TempDir dir;
-  SegmentedAnswerLog::Options options;
-  options.max_segment_bytes = 512;  // tiny: force rotation
-  SegmentedAnswerLog log(dir.path(), options);
+  PartitionLog log(dir.path(), SegmentBytes(512));  // tiny: force rotation
   for (int64_t ts = 0; ts < 200; ++ts) {
-    log.Append(ts, MakeAnswer(64, 1));
+    AppendAnswer(log, ts, MakeAnswer(64, 1));
   }
   EXPECT_GT(log.num_segments(), 3u);
-  EXPECT_EQ(log.LoadRange(INT64_MIN, INT64_MAX).size(), 200u);
+  EXPECT_EQ(LoadAll(log).size(), 200u);
 }
 
 TEST(SegmentLogTest, ReopenResumesAppending) {
   TempDir dir;
   {
-    SegmentedAnswerLog log(dir.path());
+    PartitionLog log(dir.path(), PartitionLogOptions{});
     for (int64_t ts = 0; ts < 30; ++ts) {
-      log.Append(ts, MakeAnswer(8, 2));
+      AppendAnswer(log, ts, MakeAnswer(8, 2));
     }
   }
-  {
-    SegmentedAnswerLog log(dir.path());
-    EXPECT_EQ(log.num_records(), 30u);
-    for (int64_t ts = 30; ts < 60; ++ts) {
-      log.Append(ts, MakeAnswer(8, 2));
-    }
-    EXPECT_EQ(log.LoadRange(INT64_MIN, INT64_MAX).size(), 60u);
+  PartitionLog log(dir.path(), PartitionLogOptions{});
+  EXPECT_EQ(log.end_offset(), 30u);
+  for (int64_t ts = 30; ts < 60; ++ts) {
+    AppendAnswer(log, ts, MakeAnswer(8, 2));
   }
+  EXPECT_EQ(LoadAll(log).size(), 60u);
 }
 
 TEST(SegmentLogTest, RecoversFromTornTail) {
   TempDir dir;
-  fs::path segment;
   {
-    SegmentedAnswerLog log(dir.path());
+    PartitionLog log(dir.path(), PartitionLogOptions{});
     for (int64_t ts = 0; ts < 10; ++ts) {
-      log.Append(ts, MakeAnswer(16, 3));
+      AppendAnswer(log, ts, MakeAnswer(16, 3));
     }
-    segment = dir.path() / "answers-000000.log";
   }
   // Simulate a crash mid-append: chop the last 5 bytes.
-  const auto size = fs::file_size(segment);
-  fs::resize_file(segment, size - 5);
-  SegmentedAnswerLog log(dir.path());
-  EXPECT_EQ(log.num_records(), 9u);  // last record truncated away
+  const fs::path segment = dir.path() / kFirstSegment;
+  fs::resize_file(segment, fs::file_size(segment) - 5);
+  PartitionLog log(dir.path(), PartitionLogOptions{});
+  EXPECT_EQ(log.end_offset(), 9u);  // last record truncated away
   // And the log is writable again.
-  log.Append(100, MakeAnswer(16, 3));
-  EXPECT_EQ(log.LoadRange(INT64_MIN, INT64_MAX).size(), 10u);
+  AppendAnswer(log, 100, MakeAnswer(16, 3));
+  EXPECT_EQ(LoadAll(log).size(), 10u);
 }
 
 TEST(SegmentLogTest, DetectsCorruptionInTornTailByCrc) {
   TempDir dir;
-  fs::path segment;
   {
-    SegmentedAnswerLog log(dir.path());
+    PartitionLog log(dir.path(), PartitionLogOptions{});
     for (int64_t ts = 0; ts < 5; ++ts) {
-      log.Append(ts, MakeAnswer(16, 1));
+      AppendAnswer(log, ts, MakeAnswer(16, 1));
     }
-    segment = dir.path() / "answers-000000.log";
   }
-  // Flip a byte inside the LAST record's body.
+  // Flip a byte inside the LAST record's answer bytes.
   {
-    std::fstream f(segment,
+    std::fstream f(dir.path() / kFirstSegment,
                    std::ios::binary | std::ios::in | std::ios::out);
-    f.seekp(-3, std::ios::end);
     char byte;
-    f.seekg(-3, std::ios::end);
+    f.seekg(-1, std::ios::end);
     f.get(byte);
-    f.seekp(-3, std::ios::end);
-    byte = static_cast<char>(byte ^ 0xFF);
-    f.put(byte);
+    f.seekp(-1, std::ios::end);
+    f.put(static_cast<char>(byte ^ 0xFF));
   }
-  SegmentedAnswerLog log(dir.path());
-  EXPECT_EQ(log.num_records(), 4u);  // corrupt tail record dropped
+  PartitionLog log(dir.path(), PartitionLogOptions{});
+  EXPECT_EQ(log.end_offset(), 4u);  // corrupt tail record dropped
+  EXPECT_EQ(LoadAll(log).size(), 4u);
 }
 
 TEST(SegmentLogTest, RejectsCorruptionInSealedSegment) {
   TempDir dir;
   {
-    SegmentedAnswerLog::Options options;
-    options.max_segment_bytes = 256;
-    SegmentedAnswerLog log(dir.path(), options);
+    PartitionLog log(dir.path(), SegmentBytes(256));
     for (int64_t ts = 0; ts < 100; ++ts) {
-      log.Append(ts, MakeAnswer(64, 5));
+      AppendAnswer(log, ts, MakeAnswer(64, 5));
     }
     ASSERT_GT(log.num_segments(), 1u);
   }
   // Corrupt the FIRST (sealed) segment: unrecoverable.
   {
-    std::fstream f(dir.path() / "answers-000000.log",
+    std::fstream f(dir.path() / kFirstSegment,
                    std::ios::binary | std::ios::in | std::ios::out);
     f.seekp(12);
     f.put('\xFF');
     f.put('\xFF');
   }
-  EXPECT_THROW(SegmentedAnswerLog{dir.path()}, SegmentLogError);
+  EXPECT_THROW(PartitionLog(dir.path(), PartitionLogOptions{}),
+               SegmentLogError);
 }
 
 TEST(SegmentLogTest, EmptyDirectoryIsValid) {
   TempDir dir;
-  SegmentedAnswerLog log(dir.path());
-  EXPECT_EQ(log.num_records(), 0u);
-  EXPECT_EQ(log.LoadRange(INT64_MIN, INT64_MAX).size(), 0u);
+  PartitionLog log(dir.path(), PartitionLogOptions{});
+  EXPECT_EQ(log.end_offset(), 0u);
+  EXPECT_EQ(LoadAll(log).size(), 0u);
 }
 
 TEST(SegmentLogTest, BatchAnalyticsOverLoadedStore) {
   // End-to-end: durable log -> LoadRange -> HistoricalAnalytics.
   TempDir dir;
-  SegmentedAnswerLog log(dir.path());
+  PartitionLog log(dir.path(), PartitionLogOptions{});
   BitVector yes(2), no(2);
   yes.Set(0, true);
   no.Set(1, true);
   for (int i = 0; i < 70; ++i) {
-    log.Append(i, yes);
+    AppendAnswer(log, i, yes);
   }
   for (int i = 70; i < 100; ++i) {
-    log.Append(i, no);
+    AppendAnswer(log, i, no);
   }
-  const ResponseStore store = log.LoadRange(0, 100);
+  const ResponseStore store = LoadRange(log, 0, 100);
   core::ExecutionParams params;
   params.randomization = {1.0, 0.5};
   const aggregator::HistoricalAnalytics analytics(store, params, 100);
@@ -226,6 +239,16 @@ TEST(SegmentLogTest, BatchAnalyticsOverLoadedStore) {
       analytics.Run(0, 100, aggregator::BatchQueryBudget{1.0}, rng, 2);
   EXPECT_NEAR(result.buckets[0].estimate.value, 70.0, 1e-9);
   EXPECT_NEAR(result.buckets[1].estimate.value, 30.0, 1e-9);
+}
+
+TEST(SegmentLogTest, LoadRangeRejectsRecordsThatAreNotAnswers) {
+  // A partition log holding other records (here: 3 payload bytes under a
+  // key claiming 64 bits) is not a historical store.
+  TempDir dir;
+  PartitionLog log(dir.path(), PartitionLogOptions{});
+  const uint8_t payload[] = {1, 2, 3};
+  log.Append(/*key=*/64, /*timestamp_ms=*/0, payload);
+  EXPECT_THROW(LoadAll(log), SegmentLogError);
 }
 
 }  // namespace

@@ -40,47 +40,6 @@ void LoadSpeed(PrivApproxSystem& sys, size_t index, double speed) {
   db.GetTable("vehicle").Insert(500, {localdb::Value(speed)});
 }
 
-TEST(SystemConfigTest, ResolvedFoldsDeprecatedAliasesIntoNestedFields) {
-  SystemConfig config;
-  config.enable_historical = true;
-  config.historical_dir = "/tmp/hist";
-  config.num_worker_threads = 5;
-  config.pipeline_mode = EpochPipelineMode::kBarrier;
-  config.pipeline_depth = 3;
-  config.stream_shard_size = 17;
-  const SystemConfig resolved = config.Resolved();
-  EXPECT_TRUE(resolved.historical.enabled);
-  EXPECT_EQ(resolved.historical.dir, "/tmp/hist");
-  EXPECT_EQ(resolved.pipeline.num_worker_threads, 5u);
-  EXPECT_EQ(resolved.pipeline.mode, EpochPipelineMode::kBarrier);
-  EXPECT_EQ(resolved.pipeline.depth, 3u);
-  EXPECT_EQ(resolved.pipeline.shard_size, 17u);
-  // Resolved values mirror back to the flat names too, so code reading
-  // either spelling sees the same config.
-  EXPECT_TRUE(resolved.enable_historical);
-  EXPECT_EQ(resolved.num_worker_threads, 5u);
-}
-
-TEST(SystemConfigTest, NestedFieldWinsOverDeprecatedAlias) {
-  SystemConfig config;
-  config.pipeline.depth = 4;   // explicitly set nested field...
-  config.pipeline_depth = 99;  // ...beats a conflicting legacy alias
-  const SystemConfig resolved = config.Resolved();
-  EXPECT_EQ(resolved.pipeline.depth, 4u);
-  EXPECT_EQ(resolved.pipeline_depth, 4u);
-}
-
-TEST(SystemConfigTest, ResolvedIsIdentityOnDefaults) {
-  const SystemConfig resolved = SystemConfig{}.Resolved();
-  EXPECT_FALSE(resolved.historical.enabled);
-  EXPECT_TRUE(resolved.historical.dir.empty());
-  EXPECT_EQ(resolved.pipeline.mode, EpochPipelineMode::kStreaming);
-  EXPECT_EQ(resolved.pipeline.depth, 8u);
-  EXPECT_EQ(resolved.pipeline.shard_size, 0u);
-  EXPECT_TRUE(resolved.metrics.enabled);
-  EXPECT_FALSE(resolved.metrics.timeline);
-}
-
 TEST(SystemTest, MetricsExpositionCoversPipelineFamilies) {
   SystemConfig config;
   config.num_clients = 30;
